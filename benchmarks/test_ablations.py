@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.core.positioning import MultiResolutionPositioner
-from repro.core.tracing import GridTracer, TrajectoryTracer
 from repro.core.voting import vote_map_on_grid
 from repro.geometry.layouts import rfidraw_layout
 from repro.geometry.plane import writing_plane
@@ -26,6 +25,8 @@ from repro.rf.constants import DEFAULT_WAVELENGTH
 from repro.experiments.fig06_positioning import make_snapshot
 from repro.experiments.fig07_wrong_lobe import ideal_series
 from repro.handwriting.generator import HandwritingGenerator, UserStyle
+
+from tests.oracles import GridTracer, TrajectoryTracer
 
 
 TRUTH_UV = (1.45, 1.25)

@@ -23,13 +23,12 @@ from scipy.optimize import least_squares
 
 from repro.core.engine import PairBank
 from repro.core.positioning import MultiResolutionPositioner, PositionCandidate
-from repro.core.tracing import TrajectoryTracer
-from repro.core.voting import total_votes_reference
 from repro.experiments.scenarios import ScenarioConfig, simulate_word
 from repro.rf.phase import cycle_residual
 from repro.rfid.sampling import snapshot_at
 
 from bench_io import timed as _timed, update_bench
+from tests.oracles import TrajectoryTracer, total_votes_reference
 
 _TWO_PI = 2.0 * np.pi
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.experiments.scenarios import ScenarioConfig, simulate_word
 from repro.rfid.sampling import build_pair_series
+from repro.stream import SessionConfig
 
 from bench_io import timed as _timed, update_bench
 
@@ -40,7 +41,9 @@ PRUNE_BURN_IN = 80
 
 def _steady_ingest(system, log, sample_rate, warm_fraction, **session_kwargs):
     """Amortized per-report seconds over the post-warm-up tail."""
-    session = system.open_session(sample_rate=sample_rate, **session_kwargs)
+    session = system.open_session(
+        config=SessionConfig(sample_rate=sample_rate, **session_kwargs)
+    )
     warm = int(len(log.reports) * warm_fraction)
     for report in log.reports[:warm]:
         session.ingest(report)
@@ -79,7 +82,9 @@ def test_stream_perf_regression():
     # Streaming: construct session, ingest every report, finalize.
     # ------------------------------------------------------------------
     def stream_word():
-        session = system.open_session(sample_rate=run.config.sample_rate)
+        session = system.open_session(
+            config=SessionConfig(sample_rate=run.config.sample_rate)
+        )
         for report in log.reports:
             session.ingest(report)
         return session.finalize()
@@ -225,7 +230,10 @@ def test_stream_eviction_sweep():
     reports.sort(key=lambda report: report.time)
 
     manager = SessionManager(
-        system, idle_timeout=0.25, candidate_count=2, sample_rate=20.0
+        system,
+        config=SessionConfig(
+            idle_timeout=0.25, candidate_count=2, sample_rate=20.0
+        ),
     )
     peak_open = 0
 

@@ -22,7 +22,7 @@ bounded per-report latency, and ``finalize()`` returns the *identical*
 :class:`ReconstructionResult` (the batch facade is a wrapper over this
 path)::
 
-    session = system.open_session(sample_rate=20.0)
+    session = system.open_session(config=SessionConfig(sample_rate=20.0))
     for report in reader_stream:          # live loop
         for point in session.ingest(report):
             print(point.time, point.position)

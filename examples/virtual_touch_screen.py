@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.experiments.scenarios import ScenarioConfig, WordJob, simulate_words
 from repro.handwriting.recognizer import WordRecognizer
+from repro.stream import SessionConfig
 
 
 def render_ascii(points: np.ndarray, width: int = 64, height: int = 14) -> str:
@@ -64,9 +65,11 @@ def main(words: list[str]) -> None:
         # wrong-lobe candidates once the vote race settles, provably
         # without changing the chosen trajectory.
         session = run.system.open_session(
-            sample_rate=run.config.sample_rate,
-            prune_margin=10.0,
-            prune_burn_in=16,
+            config=SessionConfig(
+                sample_rate=run.config.sample_rate,
+                prune_margin=10.0,
+                prune_burn_in=16,
+            )
         )
         live = session.extend(run.rfidraw_log.reports)
         result = session.finalize()

@@ -66,7 +66,6 @@ from repro.core import (
     PositionCandidate,
     RFIDrawSystem,
     TraceResult,
-    TrajectoryTracer,
 )
 from repro.baseline import ArrayIntersectionTracker, BeamScanAoA
 from repro.stream import SessionManager, TrackingSession
@@ -90,7 +89,6 @@ __all__ = [
     "PositionCandidate",
     "RFIDrawSystem",
     "TraceResult",
-    "TrajectoryTracer",
     "ArrayIntersectionTracker",
     "BeamScanAoA",
     "SessionManager",

@@ -6,32 +6,21 @@
 * :mod:`repro.core.voting` — the antenna-pair vote of Eq. 6/7.
 * :mod:`repro.core.positioning` — the two-stage multi-resolution
   positioning algorithm (section 5.1).
-* :mod:`repro.core.tracing` — the grating-lobe trajectory tracing
-  algorithm (section 5.2); scipy and paper-faithful grid-search
-  reference forms of the engine's batched tracer.
+* :mod:`repro.core.tracing` — settings and per-candidate results of the
+  grating-lobe trajectory tracing algorithm (section 5.2), which the
+  engine's :class:`BatchedTracer` runs.
 * :mod:`repro.core.pipeline` — :class:`RFIDrawSystem`, the end-to-end
   facade from phase series to a chosen trajectory.
 """
 
 from repro.core.engine import BatchedTracer, PairBank, batched_lock_lobes
-from repro.core.voting import (
-    VoteMap,
-    pair_votes,
-    total_votes,
-    total_votes_reference,
-)
+from repro.core.voting import VoteMap, pair_votes, total_votes
 from repro.core.positioning import (
     MultiResolutionPositioner,
     PositionCandidate,
     PositionerConfig,
 )
-from repro.core.tracing import (
-    GridTracer,
-    TraceResult,
-    TracerConfig,
-    TrajectoryTracer,
-    lock_lobes,
-)
+from repro.core.tracing import TraceResult, TracerConfig
 from repro.core.pipeline import (
     ReconstructionResult,
     RFIDrawSystem,
@@ -45,15 +34,11 @@ __all__ = [
     "VoteMap",
     "pair_votes",
     "total_votes",
-    "total_votes_reference",
     "MultiResolutionPositioner",
     "PositionCandidate",
     "PositionerConfig",
-    "GridTracer",
     "TraceResult",
     "TracerConfig",
-    "TrajectoryTracer",
-    "lock_lobes",
     "ReconstructionResult",
     "RFIDrawSystem",
     "reconstruct_many",

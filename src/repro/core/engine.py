@@ -17,8 +17,7 @@ reconstruction hot path. The two pillars:
 
 ``BatchedTracer`` — all candidates at once, no scipy in the loop
     The per-step lobe-locked objective is a tiny 2-unknown least-squares
-    problem whose analytic Jacobian is already known (see
-    :class:`repro.core.tracing.TrajectoryTracer`). Instead of one
+    problem with a known analytic Jacobian. Instead of one
     ``scipy.optimize.least_squares`` call per time step per candidate
     (thousands of Python-callback round-trips per traced word), the
     batched tracer advances **all** candidate trajectories simultaneously
@@ -26,18 +25,9 @@ reconstruction hot path. The two pillars:
     Jacobians for the whole ``(C, 2)`` position block are evaluated in
     one shot, robust (soft-L1/Huber/Cauchy) weights are applied as IRLS
     weights, and the 2×2 normal equations are solved in closed form with
-    per-candidate Levenberg damping. The result matches the scipy tracer
-    to well under 0.1 mm while doing no per-step Python round-trips.
-
-When to prefer the reference implementations
-    :class:`repro.core.tracing.TrajectoryTracer` (scipy) and
-    :class:`repro.core.tracing.GridTracer` (the paper-literal local grid
-    search) remain in the tree as executable specifications. Use them to
-    cross-check the engine (``tests/test_core_engine.py`` does exactly
-    that) or when experimenting with objective variants that have no
-    closed-form Jacobian yet; use the engine everywhere performance
-    matters — it is what :class:`repro.core.pipeline.RFIDrawSystem`
-    routes through.
+    per-candidate Levenberg damping. It is the one production tracer;
+    the scipy and grid-search reference tracers it was validated against
+    live with the tests (``tests/oracles``).
 """
 
 from __future__ import annotations
@@ -52,7 +42,13 @@ from repro.geometry.vectors import points_view
 from repro.rf.constants import DEFAULT_WAVELENGTH
 from repro.rf.phase import wrap_to_half_cycle
 
-__all__ = ["PairBank", "BatchedTracer", "TraceState", "batched_lock_lobes"]
+__all__ = [
+    "PairBank",
+    "BatchedTracer",
+    "TraceState",
+    "batched_lock_lobes",
+    "check_series",
+]
 
 _TWO_PI = 2.0 * np.pi
 
@@ -120,14 +116,9 @@ class PairBank:
         """Hashable key equal iff two banks share stacked geometry.
 
         Two banks with equal keys have identical ``positions`` /
-        ``first_index`` / ``second_index`` arrays — exactly the
-        precondition :meth:`BatchedTracer.step_many` enforces for
-        merging trace states into one solve block (the scale check is
-        separate; see :attr:`TraceState.merge_key`). Used by
-        :func:`repro.core.pipeline.reconstruct_many` and the
-        multi-tag burst stepper
-        (:meth:`repro.stream.manager.SessionManager.ingest_burst`) to
-        group mergeable work without pairwise array comparisons.
+        ``first_index`` / ``second_index`` arrays — the geometry part of
+        :attr:`TraceState.merge_key`, which :meth:`BatchedTracer.begin`
+        builds once per trace.
         """
         return (
             self.positions.shape,
@@ -279,8 +270,9 @@ def batched_lock_lobes(
 ) -> np.ndarray:
     """``(C, P)`` lobe locks for many candidate starts at once.
 
-    The batched form of :func:`repro.core.tracing.lock_lobes`:
-    ``k = round(rt·Δd(P₀)/λ − Δφ₀/2π)`` per candidate per pair.
+    Per candidate and pair, the grating lobe closest to the candidate
+    start: ``k = round(rt·Δd(P₀)/λ − Δφ₀/2π)`` — the integer that makes
+    the locked residual smallest at the initial position.
     """
     start_world = np.atleast_2d(np.asarray(start_world, dtype=float))
     raw = (
@@ -305,7 +297,7 @@ def _robust_cost_and_weights(
     with ``s = ρ'(z) + 2 z ρ''(z)``, clipped to a small positive floor.
     Plain IRLS (``s = ρ'``) only converges linearly once residuals
     saturate the loss; the corrected weights restore the superlinear
-    convergence the scipy reference tracer enjoys.
+    convergence scipy's ``least_squares`` enjoys.
 
     Returns:
         ``(cost, gradient_weights, hessian_weights)`` — shapes
@@ -412,6 +404,11 @@ class TraceState:
             dropped candidate.
         result_indices: set by :meth:`BatchedTracer.finish` — the
             original candidate index of each returned trace, ascending.
+        merge_key: set by :meth:`BatchedTracer.begin` — states with equal
+            keys may share one :meth:`BatchedTracer.step_many` solve
+            block: same tracer type and solve settings, same
+            ``round_trip/wavelength`` scale, same stacked pair geometry
+            (planes may differ).
     """
 
     workspace: _StepWorkspace
@@ -432,6 +429,7 @@ class TraceState:
     #: until a prune shrinks it, so the per-step target build never pays
     #: a per-step gather.
     active_locks: np.ndarray = None
+    merge_key: tuple = ()
 
     def __post_init__(self) -> None:
         if self.active is None:
@@ -444,16 +442,6 @@ class TraceState:
     @property
     def step_count(self) -> int:
         return len(self.positions)
-
-    @property
-    def merge_key(self) -> tuple:
-        """Hashable key: states with equal keys may share a
-        :meth:`BatchedTracer.step_many` solve block (same stacked pair
-        geometry, same ``round_trip/wavelength`` scale — the exact
-        precondition ``_require_mergeable`` enforces; planes may
-        differ)."""
-        workspace = self.workspace
-        return (float(workspace.scale), *workspace.bank.geometry_key())
 
     @property
     def candidate_count(self) -> int:
@@ -473,12 +461,23 @@ class TraceState:
         return self.running.copy()
 
 
+def check_series(series) -> None:
+    """Reject pair series that cannot be traced: none, empty, or not on
+    one shared timeline (the precondition of :meth:`BatchedTracer.trace_all`
+    and :meth:`repro.stream.session.TrackingSession.ingest_series`)."""
+    if not series:
+        raise ValueError("no pair series given")
+    length = len(series[0])
+    if length == 0:
+        raise ValueError("pair series are empty")
+    if not all(len(entry) == length for entry in series):
+        raise ValueError("pair series do not share a timeline")
+
+
 class BatchedTracer:
     """Lobe-locked tracer advancing all candidates simultaneously.
 
-    Drop-in accelerated replacement for
-    :class:`repro.core.tracing.TrajectoryTracer`: same constructor, same
-    per-candidate :meth:`trace`, plus :meth:`trace_all` which traces a
+    :meth:`trace` follows one candidate; :meth:`trace_all` traces a
     whole ``(C, 2)`` block of candidate initial positions in one pass.
     Each time step runs a damped Gauss–Newton / IRLS loop on the 2×2
     normal equations — no scipy, no Python-level per-candidate loop.
@@ -508,7 +507,7 @@ class BatchedTracer:
 
     # ------------------------------------------------------------------
     def trace(self, series, start_position: np.ndarray):
-        """Trace one candidate (API parity with ``TrajectoryTracer``)."""
+        """Trace one candidate start (see :meth:`trace_all`)."""
         start = np.asarray(start_position, dtype=float)
         return self.trace_all(series, start[np.newaxis, :])[0]
 
@@ -528,9 +527,7 @@ class BatchedTracer:
             One :class:`repro.core.tracing.TraceResult` per candidate,
             in input order.
         """
-        from repro.core.tracing import _check_series
-
-        _check_series(series)
+        check_series(series)
         steps = len(series[0])
         bank = PairBank.from_series(series)
         delta = np.stack([entry.delta_phi for entry in series])  # (P, T)
@@ -619,11 +616,23 @@ class BatchedTracer:
             self.wavelength,
             self.round_trip,
         )  # (C, P)
+        scale = self.round_trip / self.wavelength
         workspace = _StepWorkspace(
             bank=bank,
             plane=self.plane,
-            scale=self.round_trip / self.wavelength,
+            scale=scale,
             axes=np.stack([self.plane.u_axis, self.plane.v_axis], axis=1),
+        )
+        config = self.config
+        merge_key = (
+            type(self),
+            config.loss,
+            float(config.loss_scale),
+            float(config.max_step),
+            int(self.max_iterations),
+            float(self.step_tolerance),
+            float(scale),
+            *bank.geometry_key(),
         )
         return TraceState(
             workspace=workspace,
@@ -632,6 +641,7 @@ class BatchedTracer:
             current=starts.copy(),
             prune_margin=prune_margin,
             prune_burn_in=prune_burn_in,
+            merge_key=merge_key,
         )
 
     def step(
@@ -669,17 +679,16 @@ class BatchedTracer:
         arithmetic — each state records exactly the positions and votes
         its own :meth:`step` would have produced, bit for bit, while the
         per-step numpy dispatch is paid once instead of once per word.
-        This is the kernel under
-        :func:`repro.core.pipeline.reconstruct_many`.
+        This is the kernel under the grouped session stepper
+        (:func:`repro.stream.session.step_sessions`).
 
         Args:
             items: ``(state, delta_phi)`` pairs, one per trace to
                 advance at this instant (a word whose timeline already
-                ended is simply left out). The states must share pair
-                geometry (identical stacked antenna positions and pair
-                index arrays) and scale (``round_trip / wavelength``);
-                their writing *planes* may differ — each candidate row
-                carries its own plane frame through the merged solve.
+                ended is simply left out). The states must share a
+                :attr:`TraceState.merge_key`; their writing *planes* may
+                differ — each candidate row carries its own plane frame
+                through the merged solve.
 
         Returns:
             One ``(positions, votes)`` pair per item, exactly what
@@ -697,9 +706,14 @@ class BatchedTracer:
         if len(prepared) == 1:
             state, delta_phi = prepared[0]
             return [self.step(state, delta_phi)]
-        base = prepared[0][0].workspace
+        key = prepared[0][0].merge_key
         for state, _ in prepared[1:]:
-            self._require_mergeable(base, state.workspace)
+            if state.merge_key != key:
+                raise ValueError(
+                    "step_many needs states with identical antenna/pair "
+                    "geometry, round_trip/wavelength scale and solve "
+                    "settings"
+                )
         seeds = np.concatenate([state.current for state, _ in prepared])
         targets = np.concatenate(
             [
@@ -719,25 +733,6 @@ class BatchedTracer:
             self._record(state, delta_phi, positions, votes)
             results.append((positions, votes))
         return results
-
-    @staticmethod
-    def _require_mergeable(base: _StepWorkspace, ws: _StepWorkspace) -> None:
-        """States sharing a solve block must share pair geometry + scale."""
-        if ws is base:
-            return
-        bank, ref = ws.bank, base.bank
-        if (
-            ws.scale != base.scale
-            or bank.positions.shape != ref.positions.shape
-            or len(bank) != len(ref)
-            or not np.array_equal(bank.positions, ref.positions)
-            or not np.array_equal(bank.first_index, ref.first_index)
-            or not np.array_equal(bank.second_index, ref.second_index)
-        ):
-            raise ValueError(
-                "step_many needs states with identical antenna/pair "
-                "geometry and round_trip/wavelength scale"
-            )
 
     @staticmethod
     def _merged_workspace(states: list[TraceState]) -> _StepWorkspace:
@@ -967,7 +962,7 @@ class BatchedTracer:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Residual ``(C, P)`` and Jacobian ``(C, P, 2)`` at ``uv``.
 
-        The Jacobian is the analytic one from ``TrajectoryTracer``:
+        The Jacobian is analytic:
         ``∂r/∂uv = scale · (unit(P−first) − unit(P−second)) · axes``.
 
         This runs several times per solver iteration per time step, so
@@ -1000,8 +995,8 @@ class BatchedTracer:
 
         Levenberg–Marquardt on the robust objective ``Σ f² ρ((r/f)²)``
         with the 2×2 normal equations solved in closed form, a
-        per-candidate damping parameter, and the same ``seed ± max_step``
-        box constraint the scipy tracer uses.
+        per-candidate damping parameter, and a ``seed ± max_step`` box
+        constraint.
         """
         cfg = self.config
         lower = seed - cfg.max_step

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.engine import BatchedTracer, PairBank
+from repro.core.engine import BatchedTracer
 from repro.geometry.antennas import Deployment
 from repro.geometry.plane import WritingPlane
 from repro.rf.constants import DEFAULT_WAVELENGTH
@@ -104,10 +104,7 @@ class RFIDrawSystem:
             positioner_config,
         )
         # The vectorized engine tracer: advances every candidate
-        # trajectory simultaneously. Swap in a
-        # :class:`repro.core.tracing.TrajectoryTracer` (scipy) or
-        # :class:`repro.core.tracing.GridTracer` here to cross-check
-        # against the reference implementations.
+        # trajectory simultaneously.
         self.tracer = BatchedTracer(plane, wavelength, round_trip, tracer_config)
 
     def reconstruct(
@@ -121,9 +118,7 @@ class RFIDrawSystem:
         series is streamed instant-by-instant through a
         :class:`repro.stream.session.TrackingSession` and finalized —
         the streaming path is authoritative, batch is just "feed
-        everything, then finalize". (A reference tracer swapped into
-        :attr:`tracer` lacks the incremental ``begin``/``step`` API and
-        falls back to the equivalent one-shot ``trace_all`` pipeline.)
+        everything, then finalize".
 
         Args:
             series: unwrapped Δφ series on a shared timeline (from
@@ -135,10 +130,6 @@ class RFIDrawSystem:
             A :class:`ReconstructionResult` with the chosen trajectory and
             all per-candidate diagnostics.
         """
-        if not hasattr(self.tracer, "begin"):
-            return self._reconstruct_with_reference_tracer(
-                series, candidate_count
-            )
         from repro.stream.session import TrackingSession
 
         session = TrackingSession(self, candidate_count=candidate_count)
@@ -173,13 +164,21 @@ class RFIDrawSystem:
         keep working behind a :class:`DeprecationWarning`.
         """
         from repro.rfid.sampling import MeasurementLog
+        from repro.stream.config import fold_legacy_kwargs
 
         legacy = dict(session_kwargs)
         if sample_rate is not None:
             legacy["sample_rate"] = sample_rate
         if candidate_count is not None:
             legacy["candidate_count"] = candidate_count
-        session = self.open_session(epc_hex=epc_hex, config=config, **legacy)
+        # Fold here, not in open_session, so a DeprecationWarning names
+        # the caller of reconstruct_log.
+        config, passthrough = fold_legacy_kwargs(
+            config, legacy, "RFIDrawSystem.reconstruct_log"
+        )
+        session = self.open_session(
+            epc_hex=epc_hex, config=config, **passthrough
+        )
         reports = log.reports if isinstance(log, MeasurementLog) else log
         session.extend(reports)
         return session.finalize()
@@ -205,36 +204,6 @@ class RFIDrawSystem:
         )
         return TrackingSession(
             self, **config.session_kwargs(), **passthrough
-        )
-
-    def _reconstruct_with_reference_tracer(
-        self,
-        series: list[PairSeries],
-        candidate_count: int | None = None,
-    ) -> ReconstructionResult:
-        """The pre-streaming pipeline, for reference tracers.
-
-        :class:`repro.core.tracing.TrajectoryTracer` and
-        :class:`repro.core.tracing.GridTracer` expose ``trace_all`` but
-        not the incremental API; this path keeps them usable as drop-in
-        cross-checks.
-        """
-        snapshot = snapshot_at(series, index=0)
-        candidates = self.positioner.candidates(snapshot, candidate_count)
-        if not candidates:
-            raise ValueError("the positioner produced no candidates")
-        starts = np.stack([candidate.position for candidate in candidates])
-        traces = self.tracer.trace_all(series, starts)
-        # Selection follows the paper: the trajectory whose summed vote
-        # across all points is highest wins. (TraceResult also exposes a
-        # bias-compensated `coherence_vote` diagnostic; on this simulator
-        # the plain total vote discriminates at least as well.)
-        chosen = int(np.argmax([trace.total_vote for trace in traces]))
-        return ReconstructionResult(
-            times=series[0].times.copy(),
-            chosen_index=chosen,
-            candidates=candidates,
-            traces=traces,
         )
 
     def reconstruct_many(
@@ -265,134 +234,50 @@ class RFIDrawSystem:
         return self.positioner.locate(snapshot_at(series, index=index))
 
 
-# ----------------------------------------------------------------------
-# Batched multi-word reconstruction
-# ----------------------------------------------------------------------
-def _check_series_block(series: list[PairSeries]) -> None:
-    """The same shape validation the streaming facade applies per word."""
-    if not series:
-        raise ValueError("no pair series given")
-    length = len(series[0])
-    if length == 0:
-        raise ValueError("pair series are empty")
-    if not all(len(entry) == length for entry in series):
-        raise ValueError("pair series do not share a timeline")
-
-
 def reconstruct_many(
     items,
     candidate_count: int | None = None,
 ) -> list[ReconstructionResult]:
     """Reconstruct many independent words in merged engine blocks.
 
-    The engine's per-candidate solve is row-separable
-    (:meth:`repro.core.engine.BatchedTracer.begin`), so the candidate
-    trajectories of *different* words can share one batched
-    Gauss–Newton block: words whose pair geometry and
-    ``round_trip/wavelength`` scale match are grouped, their candidates
-    stacked into a single ``(ΣC, 2)`` block, and the group is stepped on
-    a merged timeline — at each instant every word that still has
-    samples contributes its Δφ vector, and words whose timeline ended
-    simply drop out (mask-advance). Writing planes may differ within a
-    group (each candidate row carries its own plane frame); words whose
-    geometry matches nothing else, or whose system uses a reference
-    tracer without the incremental API, fall back to plain
-    :meth:`RFIDrawSystem.reconstruct`.
+    Each word becomes one series-mode
+    :class:`repro.stream.session.TrackingSession`, and
+    :func:`repro.stream.session.step_sessions` advances all of them
+    together — the same grouped stepper
+    :meth:`repro.stream.manager.SessionManager.ingest_burst` uses. The
+    engine's per-candidate solve is row-separable
+    (:meth:`repro.core.engine.BatchedTracer.begin`), so at each timeline
+    instant the candidates of every word with an equal
+    :attr:`repro.core.engine.TraceState.merge_key` (same pair geometry,
+    ``round_trip/wavelength`` scale and tracer settings) share one
+    batched Gauss–Newton block, and words whose timeline ended simply
+    drop out. Writing planes may differ within a block (each candidate
+    row carries its own plane frame), and words need not share a
+    system object.
 
     Every result is **bit-identical** to the word's own
-    ``system.reconstruct(series, candidate_count)`` — the batch facade
-    and this runner drive the same ``begin``/``step``/``finish``
-    machinery, merged stepping included
+    ``system.reconstruct(series, candidate_count)``
     (``tests/test_core_reconstruct_many.py`` enforces this across
     seeds, LOS/NLOS and the one-way WiFi configuration). What changes
     is the constant factor: the per-step numpy dispatch is paid once
-    per group instead of once per word, which is what makes the
+    per block instead of once per word, which is what makes the
     fig11/fig14/fig15 sweeps scale.
 
     Args:
-        items: ``(system, series)`` pairs — one
-            :class:`RFIDrawSystem` (or compatible facade) and its
-            word's ``list[PairSeries]`` per entry.
+        items: ``(system, series)`` pairs — one :class:`RFIDrawSystem`
+            and its word's ``list[PairSeries]`` per entry.
         candidate_count: how many initial candidates to trace per word
             (default: each positioner's configured count).
 
     Returns:
         One :class:`ReconstructionResult` per item, in item order.
     """
-    entries = [(system, list(series)) for system, series in items]
-    results: list[ReconstructionResult | None] = [None] * len(entries)
-    groups: dict[tuple, list[int]] = {}
-    banks: dict[int, PairBank] = {}
-    for index, (system, series) in enumerate(entries):
-        _check_series_block(series)
-        tracer = system.tracer
-        if not (hasattr(tracer, "begin") and hasattr(tracer, "step_many")):
-            # Reference tracers (scipy / grid search) have no
-            # incremental API — keep them usable, one word at a time.
-            results[index] = system.reconstruct(series, candidate_count)
-            continue
-        bank = PairBank.from_series(series)
-        config = tracer.config
-        key = (
-            type(tracer),
-            *bank.geometry_key(),
-            float(system.wavelength),
-            float(system.round_trip),
-            config.loss,
-            float(config.loss_scale),
-            float(config.max_step),
-            int(tracer.max_iterations),
-            float(tracer.step_tolerance),
-        )
-        banks[index] = bank
-        groups.setdefault(key, []).append(index)
-    for indices in groups.values():
-        _reconstruct_group(entries, indices, banks, candidate_count, results)
-    return results
+    from repro.stream.session import TrackingSession, step_sessions
 
-
-def _reconstruct_group(
-    entries: list,
-    indices: list[int],
-    banks: dict[int, PairBank],
-    candidate_count: int | None,
-    results: list,
-) -> None:
-    """Run one geometry-compatible group through merged stepping."""
-    tracer = entries[indices[0]][0].tracer
-    states = []
-    deltas = []
-    lengths = []
-    all_candidates = []
-    for index in indices:
-        system, series = entries[index]
-        # The batch front half, per word: positioner on the first
-        # snapshot, lobe locks from the first Δφ vector.
-        snapshot = snapshot_at(series, index=0)
-        candidates = system.positioner.candidates(snapshot, candidate_count)
-        if not candidates:
-            raise ValueError("the positioner produced no candidates")
-        starts = np.stack([candidate.position for candidate in candidates])
-        delta = np.stack([entry.delta_phi for entry in series])  # (P, T)
-        states.append(system.tracer.begin(banks[index], delta[:, 0], starts))
-        deltas.append(delta)
-        lengths.append(len(series[0]))
-        all_candidates.append(candidates)
-    for step in range(max(lengths)):
-        tracer.step_many(
-            [
-                (states[row], deltas[row][:, step])
-                for row in range(len(indices))
-                if step < lengths[row]
-            ]
-        )
-    for row, index in enumerate(indices):
-        system, series = entries[index]
-        traces = system.tracer.finish(states[row])
-        chosen = int(np.argmax([trace.total_vote for trace in traces]))
-        results[index] = ReconstructionResult(
-            times=series[0].times.copy(),
-            chosen_index=chosen,
-            candidates=all_candidates[row],
-            traces=traces,
-        )
+    queues = []
+    for system, series in items:
+        session = TrackingSession(system, candidate_count=candidate_count)
+        queues.append((session, session._prepare_series(list(series))))
+    for _ in step_sessions(queues):
+        pass
+    return [session.finalize() for session, _ in queues]

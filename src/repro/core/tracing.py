@@ -1,9 +1,9 @@
-"""Grating-lobe trajectory tracing (paper section 5.2).
+"""Grating-lobe trajectory tracing (paper section 5.2): settings and results.
 
 Given a candidate initial position, the tracer:
 
 1. identifies, for every antenna pair, the grating lobe closest to that
-   position — an integer lobe index ``k`` (:func:`lock_lobes`);
+   position — an integer lobe index ``k``;
 2. tracks the *continuous rotation* of exactly those lobes: because the
    pair series' Δφ is already unwrapped over time, fixing ``k`` turns
    Eq. 7 into a smooth residual per pair, and each time step becomes a
@@ -13,17 +13,10 @@ Given a candidate initial position, the tracer:
    intersecting as the tag moves, so the wrong candidate's vote decays —
    which is how the best initial position is selected (section 7.2).
 
-Three tracker implementations optimise the same objective:
-
-* :class:`repro.core.engine.BatchedTracer` — the production tracer. It
-  advances *all* candidate trajectories simultaneously with a closed-form
-  damped Gauss–Newton loop (no per-step scipy calls) and is what
-  :class:`repro.core.pipeline.RFIDrawSystem` uses.
-* :class:`TrajectoryTracer` — the scipy reference (one
-  ``least_squares`` solve per time step). Kept as an executable
-  specification; the batched tracer must match it to sub-0.1 mm.
-* :class:`GridTracer` — the paper's literal "evaluate votes in the
-  vicinity" local grid search, the slowest and most literal cross-check.
+The tracer itself is :class:`repro.core.engine.BatchedTracer`, which
+advances every candidate trajectory at once; this module holds its
+tunables (:class:`TracerConfig`) and its per-candidate output
+(:class:`TraceResult`).
 """
 
 from __future__ import annotations
@@ -31,47 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from repro.core.engine import PairBank
-from repro.geometry.antennas import AntennaPair
-from repro.geometry.plane import WritingPlane
-from repro.rf.constants import DEFAULT_WAVELENGTH
-from repro.rfid.sampling import PairSeries
-
-__all__ = [
-    "TracerConfig",
-    "TraceResult",
-    "TrajectoryTracer",
-    "GridTracer",
-    "lock_lobes",
-]
-
-_TWO_PI = 2.0 * np.pi
-
-
-def lock_lobes(
-    series: list[PairSeries],
-    start_world: np.ndarray,
-    wavelength: float,
-    round_trip: float = 2.0,
-    index: int = 0,
-) -> dict[tuple[int, int], int]:
-    """Choose, per pair, the grating lobe closest to ``start_world``.
-
-    ``k = round(rt·Δd(P₀)/λ − Δφ₀/2π)`` — the integer that makes the
-    locked residual smallest at the initial position (paper: "identifies
-    the grating lobe of each antenna pair that is closest to this
-    position").
-    """
-    locks: dict[tuple[int, int], int] = {}
-    for entry in series:
-        raw = (
-            round_trip * entry.pair.path_difference(start_world) / wavelength
-            - entry.delta_phi[index] / _TWO_PI
-        )
-        locks[entry.pair.ids] = int(np.round(raw))
-    return locks
+__all__ = ["TracerConfig", "TraceResult"]
 
 
 @dataclass
@@ -142,204 +96,3 @@ class TraceResult:
 
     def __len__(self) -> int:
         return int(self.positions.shape[0])
-
-
-class TrajectoryTracer:
-    """Lobe-locked tracer via per-step ``scipy.optimize.least_squares``.
-
-    Reference implementation: the vectorized
-    :class:`repro.core.engine.BatchedTracer` optimises the same
-    objective without per-step scipy calls and is what the pipeline
-    uses; this class remains the executable specification it is
-    cross-checked against.
-    """
-
-    def __init__(
-        self,
-        plane: WritingPlane,
-        wavelength: float = DEFAULT_WAVELENGTH,
-        round_trip: float = 2.0,
-        config: TracerConfig | None = None,
-    ) -> None:
-        self.plane = plane
-        self.wavelength = wavelength
-        self.round_trip = round_trip
-        self.config = config or TracerConfig()
-
-    def trace(
-        self, series: list[PairSeries], start_position: np.ndarray
-    ) -> TraceResult:
-        """Reconstruct the trajectory starting from ``start_position``.
-
-        Args:
-            series: per-pair unwrapped Δφ series on a shared timeline.
-            start_position: candidate initial position (plane coords).
-
-        Returns:
-            A :class:`TraceResult`; ``positions[0]`` is the solver-refined
-            start, not necessarily ``start_position`` exactly.
-        """
-        _check_series(series)
-        start_position = np.asarray(start_position, dtype=float)
-        steps = len(series[0])
-
-        start_world = self.plane.to_world(start_position)
-        locks = lock_lobes(
-            series, start_world, self.wavelength, self.round_trip, index=0
-        )
-        lock_values = np.array(
-            [locks[entry.pair.ids] for entry in series], dtype=float
-        )
-        pairs = [entry.pair for entry in series]
-        delta = np.stack([entry.delta_phi for entry in series])  # (P, T)
-        targets = delta / _TWO_PI + lock_values[:, np.newaxis]
-
-        positions = np.empty((steps, 2))
-        votes = np.empty(steps)
-        current = start_position
-        for step in range(steps):
-            current, vote = self._solve_step(pairs, targets[:, step], current)
-            positions[step] = current
-            votes[step] = vote
-
-        # Locked residuals along the solved path, for the coherence vote.
-        world = self.plane.to_world(positions)
-        scale = self.round_trip / self.wavelength
-        path_diffs = PairBank(pairs).path_differences(world)  # (T, P)
-        residuals = scale * path_diffs.T - targets
-        return TraceResult(
-            positions, votes, locks, start_position.copy(), residuals
-        )
-
-    def trace_all(
-        self, series: list[PairSeries], start_positions: np.ndarray
-    ) -> list[TraceResult]:
-        """Trace each candidate in turn (uniform tracer interface).
-
-        The engine's :class:`repro.core.engine.BatchedTracer` solves all
-        candidates simultaneously; the reference tracers provide the
-        same signature by looping, so the pipeline needs no per-tracer
-        dispatch.
-        """
-        starts = np.atleast_2d(np.asarray(start_positions, dtype=float))
-        return [self.trace(series, start) for start in starts]
-
-    # ------------------------------------------------------------------
-    def _solve_step(
-        self,
-        pairs: list[AntennaPair],
-        targets: np.ndarray,
-        seed: np.ndarray,
-    ) -> tuple[np.ndarray, float]:
-        """One time step: find P minimising Σ (rt·Δd(P)/λ − target)²."""
-        cfg = self.config
-        scale = self.round_trip / self.wavelength
-        firsts = np.stack([pair.first.position for pair in pairs])
-        seconds = np.stack([pair.second.position for pair in pairs])
-        plane = self.plane
-
-        def residuals(uv: np.ndarray) -> np.ndarray:
-            world = plane.to_world(uv)
-            d_first = np.linalg.norm(world - firsts, axis=1)
-            d_second = np.linalg.norm(world - seconds, axis=1)
-            return scale * (d_first - d_second) - targets
-
-        def jacobian(uv: np.ndarray) -> np.ndarray:
-            world = plane.to_world(uv)
-            to_first = world - firsts
-            to_second = world - seconds
-            d_first = np.linalg.norm(to_first, axis=1, keepdims=True)
-            d_second = np.linalg.norm(to_second, axis=1, keepdims=True)
-            grad_world = to_first / d_first - to_second / d_second
-            axes = np.stack([plane.u_axis, plane.v_axis], axis=1)
-            return scale * grad_world @ axes
-
-        bounds = (seed - cfg.max_step, seed + cfg.max_step)
-        solution = least_squares(
-            residuals,
-            seed,
-            jac=jacobian,
-            bounds=bounds,
-            loss=cfg.loss,
-            f_scale=cfg.loss_scale,
-            xtol=1e-9,
-            ftol=1e-9,
-            gtol=1e-9,
-        )
-        # Vote is the plain Eq. 7 sum regardless of the solver's loss.
-        vote = float(-np.sum(np.square(residuals(solution.x))))
-        return solution.x, vote
-
-
-class GridTracer:
-    """Paper-literal tracer: exhaustive vote search in a local vicinity.
-
-    Slower than :class:`TrajectoryTracer` but a direct transcription of
-    section 5.2's "evaluates the votes for all points within the vicinity
-    of the current position". Used to validate the least-squares tracer.
-    """
-
-    def __init__(
-        self,
-        plane: WritingPlane,
-        wavelength: float = DEFAULT_WAVELENGTH,
-        round_trip: float = 2.0,
-        radius: float = 0.06,
-        step: float = 0.005,
-    ) -> None:
-        if radius <= 0 or step <= 0 or step > radius:
-            raise ValueError("need 0 < step ≤ radius")
-        self.plane = plane
-        self.wavelength = wavelength
-        self.round_trip = round_trip
-        self.radius = radius
-        self.step = step
-
-    def trace(
-        self, series: list[PairSeries], start_position: np.ndarray
-    ) -> TraceResult:
-        _check_series(series)
-        start_position = np.asarray(start_position, dtype=float)
-        steps = len(series[0])
-        start_world = self.plane.to_world(start_position)
-        locks = lock_lobes(
-            series, start_world, self.wavelength, self.round_trip, index=0
-        )
-        bank = PairBank.from_series(series)  # built once, reused every step
-        delta = np.stack([entry.delta_phi for entry in series])
-
-        offsets = np.arange(-self.radius, self.radius + self.step / 2, self.step)
-        du, dv = np.meshgrid(offsets, offsets)
-        cell = np.stack([du.ravel(), dv.ravel()], axis=1)
-
-        positions = np.empty((steps, 2))
-        votes = np.empty(steps)
-        current = start_position
-        for step_index in range(steps):
-            neighbourhood = current + cell
-            world = self.plane.to_world(neighbourhood)
-            vote_values = bank.total_votes(
-                delta[:, step_index],
-                world,
-                self.wavelength,
-                self.round_trip,
-                locks=locks,
-            )
-            best = int(np.argmax(vote_values))
-            current = neighbourhood[best]
-            positions[step_index] = current
-            votes[step_index] = float(vote_values[best])
-        return TraceResult(positions, votes, locks, start_position.copy())
-
-    # Uniform tracer interface (see TrajectoryTracer.trace_all).
-    trace_all = TrajectoryTracer.trace_all
-
-
-def _check_series(series: list[PairSeries]) -> None:
-    if not series:
-        raise ValueError("need at least one pair series")
-    length = len(series[0])
-    if length == 0:
-        raise ValueError("pair series are empty")
-    if not all(len(entry) == length for entry in series):
-        raise ValueError("pair series do not share a timeline")

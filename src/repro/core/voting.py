@@ -25,7 +25,7 @@ from repro.geometry.antennas import AntennaPair
 from repro.geometry.plane import WritingPlane
 from repro.rf.phase import cycle_residual
 
-__all__ = ["pair_votes", "total_votes", "total_votes_reference", "VoteMap"]
+__all__ = ["pair_votes", "total_votes", "VoteMap"]
 
 
 def pair_votes(
@@ -71,8 +71,6 @@ def total_votes(
     Evaluated through the vectorized engine
     (:class:`repro.core.engine.PairBank`): one shared distance matrix
     over the unique antennas instead of a Python-level per-pair loop.
-    :func:`total_votes_reference` keeps the literal per-pair form for
-    cross-checking.
     """
     delta_phis = np.asarray(delta_phis, dtype=float)
     if len(pairs) != delta_phis.size:
@@ -83,33 +81,6 @@ def total_votes(
     return PairBank(pairs).total_votes(
         delta_phis, points, wavelength, round_trip, locks
     )
-
-
-def total_votes_reference(
-    pairs: list[AntennaPair],
-    delta_phis: np.ndarray,
-    points: np.ndarray,
-    wavelength: float,
-    round_trip: float = 2.0,
-    locks: dict[tuple[int, int], int] | None = None,
-) -> np.ndarray:
-    """The literal per-pair sum of Eq. 6/7 votes.
-
-    Reference implementation of :func:`total_votes`, kept as an
-    executable specification: the engine path must match it to within
-    float accumulation error (``tests/test_core_engine.py``).
-    """
-    delta_phis = np.asarray(delta_phis, dtype=float)
-    if len(pairs) != delta_phis.size:
-        raise ValueError("need exactly one Δφ per pair")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    votes = np.zeros(points.shape[0])
-    for pair, delta_phi in zip(pairs, delta_phis):
-        lock_k = None if locks is None else locks.get(pair.ids)
-        votes += pair_votes(
-            pair, float(delta_phi), points, wavelength, round_trip, lock_k
-        )
-    return votes
 
 
 @dataclass

@@ -48,9 +48,9 @@ from repro.core.pipeline import ReconstructionResult, RFIDrawSystem
 from repro.stream.config import SessionConfig, fold_legacy_kwargs
 from repro.rfid.reader import PhaseReport
 from repro.stream.session import (
-    SessionState,
     TrackingSession,
     TrajectoryPoint,
+    step_sessions,
 )
 
 __all__ = [
@@ -482,31 +482,9 @@ class SessionManager:
         report's own ``POINT`` events.
         """
         events: list[SessionEvent] = []
-        self.ingested_reports += 1
-        if self.idle_timeout is not None and report.time > self._frontier:
-            # Only an advancing frontier can make a session newly stale,
-            # so the sweep is skipped for same-or-older timestamps.
-            self._frontier = report.time
-            events.extend(self._evict_idle())
-        epc = report.epc_hex
-        session = self.sessions.get(epc)
-        if session is None:
-            if self.max_sessions is not None:
-                events.extend(self._evict_for_capacity())
-            session = self.session_for(epc)
-        if epc in self._closed or session.result is not None:
-            self.stragglers += 1
-            return events
-        # max(): reports from different antennas may interleave slightly
-        # non-monotonically (legal per-antenna), and a tag's idle clock
-        # must never move backwards because of it.
-        previous = self.last_report_time.get(epc)
-        if previous is None or report.time > previous:
-            self.last_report_time[epc] = report.time
-        for point in session.ingest(report):
-            event = PointEmitted(epc, session, point=point)
-            self._fire(self.on_point, event)
-            events.append(event)
+        pending: dict[str, list] = {}
+        self._route(report, events, pending)
+        self._flush(report.epc_hex, events, pending)
         return events
 
     def ingest_burst(self, reports: Iterable[PhaseReport]) -> list[SessionEvent]:
@@ -516,13 +494,14 @@ class SessionManager:
         accounting, frontier sweep and eviction per report, and
         **bit-identical per-tag points and results** — but the tracer
         work is batched: the timeline samples each report unlocks are
-        collected per session, then advanced in aligned rounds where
-        every warm session's next sample joins a single
+        collected per session, then advanced by
+        :func:`repro.stream.session.step_sessions` in aligned rounds
+        where every warm session's next sample joins a single
         ``(Σtags·C, 2)`` :meth:`repro.core.engine.BatchedTracer.step_many`
-        solve (grouped by pair geometry, so heterogeneous session
-        factories still work). With many concurrently warm tags this
-        amortizes the per-step numpy dispatch across the whole fleet —
-        the hot loop of the sharded :class:`repro.serve.TrackingService`.
+        solve (grouped by merge key, so heterogeneous session factories
+        still work). With many concurrently warm tags this amortizes
+        the per-step numpy dispatch across the whole fleet — the hot
+        loop of the sharded :class:`repro.serve.TrackingService`.
 
         Ordering contract: per tag, ``POINT`` events keep exactly the
         order :meth:`ingest` would emit; *across* tags the burst emits
@@ -539,117 +518,103 @@ class SessionManager:
         """
         events: list[SessionEvent] = []
         pending: dict[str, list] = {}
-
-        def flush(epc: str) -> None:
-            # A tag leaving the burst early (evicted to honor policy)
-            # applies its collected samples one by one — the sequential
-            # path, bit-identical to the merged one — so its history is
-            # complete before finalize.
-            samples = pending.pop(epc, None)
-            if not samples:
-                return
-            session = self.sessions[epc]
-            for sample in samples:
-                point = session._on_sample(sample)
-                event = PointEmitted(epc, session, point=point)
-                self._fire(self.on_point, event)
-                events.append(event)
-
         try:
             for report in reports:
-                self.ingested_reports += 1
-                if (
-                    self.idle_timeout is not None
-                    and report.time > self._frontier
-                ):
-                    self._frontier = report.time
-                    cutoff = self._frontier - self.idle_timeout
-                    stale = [
-                        epc
-                        for epc in self.open_epcs()
-                        if epc in self.last_report_time
-                        and self.last_report_time[epc] < cutoff
-                    ]
-                    for epc in stale:
-                        flush(epc)
-                        events.append(self.evict(epc))
-                epc = report.epc_hex
-                session = self.sessions.get(epc)
-                if session is None:
-                    if self.max_sessions is not None:
-                        while True:
-                            open_epcs = self.open_epcs()
-                            if len(open_epcs) < self.max_sessions:
-                                break
-                            oldest = min(
-                                open_epcs,
-                                key=lambda e: self.last_report_time.get(
-                                    e, float("-inf")
-                                ),
-                            )
-                            flush(oldest)
-                            events.append(self.evict(oldest))
-                    session = self.session_for(epc)
-                if epc in self._closed or session.result is not None:
-                    self.stragglers += 1
-                    continue
-                previous = self.last_report_time.get(epc)
-                if previous is None or report.time > previous:
-                    self.last_report_time[epc] = report.time
-                samples = session._prepare(report)
-                if samples:
-                    pending.setdefault(epc, []).extend(samples)
+                self._route(report, events, pending)
         finally:
             # Advance whatever was collected even if routing raised
             # (strict out-of-order policy): a sample the resampler
             # emitted must reach the tracer or the session would be
             # permanently out of sync — mirroring how the sequential
             # path fully applies every report before the failing one.
-            self._advance_pending(pending, events)
+            queues = [(self.sessions[epc], samples) for epc, samples in pending.items()]
+            for session, point in step_sessions(queues):
+                self._emit_point(session.epc_hex, session, point, events)
         return events
 
-    def _advance_pending(
-        self, pending: dict[str, list], events: list[SessionEvent]
+    def _route(
+        self,
+        report: PhaseReport,
+        events: list[SessionEvent],
+        pending: dict[str, list],
     ) -> None:
-        """Advance per-session sample queues in merged aligned rounds."""
-        round_index = 0
-        while pending:
-            batch = []
-            for epc in list(pending):
-                samples = pending[epc]
-                if round_index < len(samples):
-                    batch.append((epc, self.sessions[epc], samples[round_index]))
-                else:
-                    del pending[epc]
-            if not batch:
-                break
-            # Group mergeable trace states (same tracer, same stacked
-            # pair geometry and scale); warm-up instants run the
-            # positioner per session first, exactly like sequential
-            # ingest, which also gives the state its merge key.
-            groups: dict[tuple, tuple] = {}
-            for item in batch:
-                _, session, sample = item
-                if session.state is SessionState.WARMING:
-                    session._warm_up(sample)
-                tracer = session.system.tracer
-                key = (id(tracer), session._trace_state.merge_key)
-                groups.setdefault(key, (tracer, []))[1].append(item)
-            for tracer, items in groups.values():
-                outputs = tracer.step_many(
-                    [
-                        (session._trace_state, sample.delta_phi)
-                        for _, session, sample in items
-                    ]
+        """Route one report; queue the samples it unlocks in ``pending``.
+
+        Advances the report-time frontier (sweeping idle sessions),
+        makes room under ``max_sessions`` for a new EPC, drops and
+        counts stragglers and keeps each tag's idle clock. Every
+        eviction first steps the evicted tag's queued samples
+        (:meth:`_flush`), so its history is complete before finalize.
+        """
+        self.ingested_reports += 1
+        if self.idle_timeout is not None and report.time > self._frontier:
+            # Only an advancing frontier can make a session newly stale,
+            # so the sweep is skipped for same-or-older timestamps.
+            self._frontier = report.time
+            cutoff = self._frontier - self.idle_timeout
+            stale = [
+                epc
+                for epc in self.open_epcs()
+                if epc in self.last_report_time
+                and self.last_report_time[epc] < cutoff
+            ]
+            for epc in stale:
+                self._flush(epc, events, pending)
+                events.append(self.evict(epc))
+        epc = report.epc_hex
+        session = self.sessions.get(epc)
+        if session is None:
+            while self.max_sessions is not None:
+                open_epcs = self.open_epcs()
+                if len(open_epcs) < self.max_sessions:
+                    break
+                oldest = min(
+                    open_epcs,
+                    key=lambda e: self.last_report_time.get(e, float("-inf")),
                 )
-                for (epc, session, sample), (positions, votes) in zip(
-                    items, outputs
-                ):
-                    point = session._emit_point(sample, positions, votes)
-                    event = PointEmitted(epc, session, point=point)
-                    self._fire(self.on_point, event)
-                    events.append(event)
-            round_index += 1
+                self._flush(oldest, events, pending)
+                events.append(self.evict(oldest))
+            session = self.session_for(epc)
+        if epc in self._closed or session.result is not None:
+            self.stragglers += 1
+            return
+        # max(): reports from different antennas may interleave slightly
+        # non-monotonically (legal per-antenna), and a tag's idle clock
+        # must never move backwards because of it.
+        previous = self.last_report_time.get(epc)
+        if previous is None or report.time > previous:
+            self.last_report_time[epc] = report.time
+        samples = session._prepare(report)
+        if samples:
+            pending.setdefault(epc, []).extend(samples)
+
+    def _flush(
+        self, epc: str, events: list[SessionEvent], pending: dict[str, list]
+    ) -> None:
+        """Step one tag's queued samples one by one — the sequential
+        path, bit-identical to the merged one.
+
+        Every sample is stepped before any ``on_point`` callback fires,
+        so a raising callback cannot leave the session behind its
+        resampler.
+        """
+        samples = pending.pop(epc, None)
+        if samples:
+            session = self.sessions[epc]
+            points = [session._on_sample(sample) for sample in samples]
+            for point in points:
+                self._emit_point(epc, session, point, events)
+
+    def _emit_point(
+        self,
+        epc: str,
+        session: TrackingSession,
+        point: TrajectoryPoint,
+        events: list[SessionEvent],
+    ) -> None:
+        event = PointEmitted(epc, session, point=point)
+        self._fire(self.on_point, event)
+        events.append(event)
 
     # ------------------------------------------------------------------
     # Eviction
@@ -700,30 +665,6 @@ class SessionManager:
         event = SessionEvicted(epc_hex, session, result=result)
         self._fire(self.on_session_evicted, event)
         return event
-
-    def _evict_idle(self) -> list[SessionEvent]:
-        """Evict open sessions idle past the report-time frontier."""
-        cutoff = self._frontier - self.idle_timeout
-        stale = [
-            epc
-            for epc in self.open_epcs()
-            if epc in self.last_report_time
-            and self.last_report_time[epc] < cutoff
-        ]
-        return [self.evict(epc) for epc in stale]
-
-    def _evict_for_capacity(self) -> list[SessionEvent]:
-        """Make room for a new session under the ``max_sessions`` cap."""
-        events: list[SessionEvent] = []
-        while True:
-            open_epcs = self.open_epcs()
-            if len(open_epcs) < self.max_sessions:
-                return events
-            oldest = min(
-                open_epcs,
-                key=lambda epc: self.last_report_time.get(epc, float("-inf")),
-            )
-            events.append(self.evict(oldest))
 
     def extend(self, reports: Iterable[PhaseReport]) -> list[SessionEvent]:
         """Route an iterable of reports; return all produced events."""

@@ -33,10 +33,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.core.engine import TraceState
+from repro.core.engine import TraceState, check_series
 from repro.core.pipeline import ReconstructionResult, RFIDrawSystem
 from repro.core.positioning import PositionCandidate
 from repro.geometry.antennas import AntennaPair
@@ -50,7 +51,7 @@ from repro.rfid.sampling import (
 )
 from repro.stream.resampler import PairSample, StreamResampler
 
-__all__ = ["SessionState", "TrajectoryPoint", "TrackingSession"]
+__all__ = ["SessionState", "TrajectoryPoint", "TrackingSession", "step_sessions"]
 
 
 class SessionState(enum.Enum):
@@ -222,8 +223,8 @@ class TrackingSession:
         *without* advancing the tracer. :meth:`ingest` steps each
         returned sample immediately;
         :meth:`repro.stream.manager.SessionManager.ingest_burst` instead
-        collects the samples of many sessions and advances them in one
-        merged engine call. Both paths produce bit-identical points
+        collects the samples of many sessions and advances them through
+        :func:`step_sessions`. Both paths produce bit-identical points
         because the step arithmetic is row-separable
         (:meth:`repro.core.engine.BatchedTracer.step_many`).
         """
@@ -274,28 +275,26 @@ class TrackingSession:
         incremental positioner/tracer machinery a live stream drives.
         The session must be fresh (no raw reports ingested).
         """
+        return [self._on_sample(sample) for sample in self._prepare_series(series)]
+
+    def _prepare_series(self, series: list[PairSeries]) -> list[PairSample]:
+        """The front half of :meth:`ingest_series`: validate the series,
+        switch to series mode and return one unstepped sample per
+        timeline instant (:func:`repro.core.pipeline.reconstruct_many`
+        hands them to :func:`step_sessions`)."""
         if self.state is not SessionState.WARMING or self.points:
             raise ValueError(
                 "ingest_series needs a fresh session (nothing ingested yet)"
             )
-        if not series:
-            raise ValueError("no pair series given")
-        length = len(series[0])
-        if length == 0:
-            raise ValueError("pair series are empty")
-        if not all(len(entry) == length for entry in series):
-            raise ValueError("pair series do not share a timeline")
+        check_series(series)
         self._series_mode = True
         self.pairs = [entry.pair for entry in series]
         delta = np.stack([entry.delta_phi for entry in series])  # (P, T)
         times = series[0].times
-        emitted: list[TrajectoryPoint] = []
-        for index in range(length):
-            sample = PairSample(
-                index=index, time=float(times[index]), delta_phi=delta[:, index]
-            )
-            emitted.append(self._on_sample(sample))
-        return emitted
+        return [
+            PairSample(index=index, time=float(times[index]), delta_phi=delta[:, index])
+            for index in range(len(times))
+        ]
 
     # ------------------------------------------------------------------
     # The incremental core
@@ -489,3 +488,47 @@ class TrackingSession:
         self._times = list(fallback._times)
         self.state = SessionState.FINALIZED
         return self.result
+
+
+def step_sessions(
+    queues: Iterable[tuple[TrackingSession, list[PairSample]]],
+) -> Iterator[tuple[TrackingSession, TrajectoryPoint]]:
+    """Advance many sessions through their queued samples in merged rounds.
+
+    Round ``r`` takes the ``r``-th sample of every queue that still has
+    one, in queue order. A session still warming up runs its positioner
+    on that sample first, exactly as :meth:`TrackingSession.ingest`
+    would. The round's sessions are then grouped by
+    :attr:`repro.core.engine.TraceState.merge_key`, and each group
+    advances in one :meth:`repro.core.engine.BatchedTracer.step_many`
+    solve. The solve is row-separable, so every point is bit-identical
+    to stepping its session alone.
+
+    Args:
+        queues: ``(session, samples)`` pairs; each session appears once.
+
+    Yields:
+        ``(session, point)`` for every sample: round by round, then
+        group by group in first-seen key order, then in queue order.
+    """
+    queues = [(session, samples) for session, samples in queues if samples]
+    round_index = 0
+    while queues:
+        groups: dict[tuple, list] = {}
+        for session, samples in queues:
+            sample = samples[round_index]
+            if session.state is SessionState.WARMING:
+                session._warm_up(sample)
+            groups.setdefault(session._trace_state.merge_key, []).append(
+                (session, sample)
+            )
+        for items in groups.values():
+            outputs = items[0][0].system.tracer.step_many(
+                [(session._trace_state, sample.delta_phi) for session, sample in items]
+            )
+            for (session, sample), (positions, votes) in zip(items, outputs):
+                yield session, session._emit_point(sample, positions, votes)
+        round_index += 1
+        queues = [
+            (session, samples) for session, samples in queues if round_index < len(samples)
+        ]

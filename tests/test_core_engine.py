@@ -1,9 +1,9 @@
 """Engine-vs-reference equivalence: the vectorized paths must reproduce
 the literal per-pair / per-step implementations they replaced.
 
-* ``PairBank.total_votes`` vs :func:`repro.core.voting.total_votes_reference`
+* ``PairBank.total_votes`` vs :func:`tests.oracles.total_votes_reference`
   to 1e-9 on random grids (free, fully locked, and mixed-lock votes);
-* ``BatchedTracer`` vs the scipy :class:`TrajectoryTracer` within 1e-4 m
+* ``BatchedTracer`` vs the scipy :class:`tests.oracles.TrajectoryTracer` within 1e-4 m
   across three scenarios — an ideal LOS word, a multipath channel, and
   noisy phases — plus a degenerate single-sample series.
 """
@@ -13,11 +13,17 @@ import pytest
 
 from repro.core.engine import BatchedTracer, PairBank, batched_lock_lobes
 from repro.core.pipeline import RFIDrawSystem
-from repro.core.tracing import TracerConfig, TrajectoryTracer, lock_lobes
-from repro.core.voting import total_votes, total_votes_reference
+from repro.core.tracing import TracerConfig
+from repro.core.voting import total_votes
 from repro.rfid.sampling import PairSeries
 
 from tests.helpers import ideal_pair_series, ideal_snapshot
+from tests.oracles import (
+    TrajectoryTracer,
+    lock_lobes,
+    reconstruct_reference,
+    total_votes_reference,
+)
 
 
 def word_like_uv(steps=70):
@@ -305,7 +311,8 @@ class TestPipelineUsesEngine:
     def test_reconstruct_matches_reference_tracer(
         self, deployment, plane, wavelength, rng
     ):
-        """End to end: engine pipeline == scipy pipeline on the same data."""
+        """End to end: engine pipeline == the scipy oracle pipeline
+        (positioner candidates, one scipy trace each, arg-max vote)."""
         uv = word_like_uv()
         times = np.linspace(0, 3.5, uv.shape[0])
         series = ideal_pair_series(deployment, plane, uv, times, wavelength)
@@ -318,9 +325,9 @@ class TestPipelineUsesEngine:
         assert isinstance(engine_system.tracer, BatchedTracer)
         engine_result = engine_system.reconstruct(series)
 
-        reference_system = RFIDrawSystem(deployment, plane, wavelength)
-        reference_system.tracer = TrajectoryTracer(plane, wavelength)
-        reference_result = reference_system.reconstruct(series)
+        reference_result = reconstruct_reference(
+            engine_system, TrajectoryTracer(plane, wavelength), series
+        )
 
         assert engine_result.chosen_index == reference_result.chosen_index
         gap = np.linalg.norm(

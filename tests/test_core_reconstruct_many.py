@@ -6,15 +6,16 @@ row-separability argument says every word still receives exactly the
 answer its own ``system.reconstruct`` computes. These tests enforce that
 **bit-for-bit** across seeds, LOS/NLOS, mixed writing planes (different
 user distances sharing one block) and the one-way WiFi
-(``round_trip = 1``) configuration, plus the reference-tracer fallback
-and input validation.
+(``round_trip = 1``) configuration, plus which words share a solve
+block and input validation.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.engine import BatchedTracer
 from repro.core.pipeline import RFIDrawSystem, reconstruct_many
-from repro.core.tracing import TrajectoryTracer
+from repro.core.tracing import TracerConfig
 from repro.experiments.scenarios import ScenarioConfig, WordJob, simulate_words
 from repro.wifi.system import WifiTracker
 
@@ -115,48 +116,93 @@ class TestWifi:
             _assert_results_identical(expected, got)
 
 
-class TestFallbacksAndValidation:
-    def make_ideal_items(self, deployment, plane, wavelength, count=2):
-        items = []
-        for index in range(count):
-            t = np.linspace(0, 2 * np.pi, 30)
-            uv = np.stack(
-                [
-                    1.2 + 0.02 * index + 0.06 * np.cos(t),
-                    1.1 + 0.05 * np.sin(t),
-                ],
-                axis=1,
-            )
-            series = ideal_pair_series(
-                deployment, plane, uv, np.linspace(0, 1.5, 30), wavelength
-            )
-            system = RFIDrawSystem(deployment, plane, wavelength)
-            items.append((system, series))
-        return items
+def make_ideal_items(deployment, plane, wavelength, count=2, configs=None):
+    """``count`` small ideal words, each on its own ``RFIDrawSystem``."""
+    configs = configs or [None] * count
+    items = []
+    for index, config in zip(range(count), configs):
+        t = np.linspace(0, 2 * np.pi, 30)
+        uv = np.stack(
+            [
+                1.2 + 0.02 * index + 0.06 * np.cos(t),
+                1.1 + 0.05 * np.sin(t),
+            ],
+            axis=1,
+        )
+        series = ideal_pair_series(
+            deployment, plane, uv, np.linspace(0, 1.5, 30), wavelength
+        )
+        system = RFIDrawSystem(
+            deployment, plane, wavelength, tracer_config=config
+        )
+        items.append((system, series))
+    return items
 
-    def test_reference_tracer_falls_back(self, deployment, plane, wavelength):
-        items = self.make_ideal_items(deployment, plane, wavelength, count=1)
-        system, series = items[0]
-        system.tracer = TrajectoryTracer(plane, wavelength)
-        expected = system.reconstruct(series, candidate_count=2)
-        (got,) = reconstruct_many(items, candidate_count=2)
-        assert got.chosen_index == expected.chosen_index
-        assert np.array_equal(got.trajectory, expected.trajectory)
 
-    def test_mixed_engine_and_reference_items(
-        self, deployment, plane, wavelength
+class TestMergeKey:
+    """Words share a ``step_many`` block exactly when their tracer
+    settings, scale and pair geometry match — whatever system object
+    each word comes from."""
+
+    @pytest.fixture
+    def recorded_blocks(self, monkeypatch):
+        """Per ``step_many`` call, the tracer loss of every stacked state."""
+        loss_of = {}
+        blocks = []
+        begin, step_many = BatchedTracer.begin, BatchedTracer.step_many
+
+        def recording_begin(self, *args, **kwargs):
+            state = begin(self, *args, **kwargs)
+            loss_of[id(state)] = self.config.loss
+            return state
+
+        def recording_step_many(self, items):
+            blocks.append([loss_of[id(state)] for state, _ in items])
+            return step_many(self, items)
+
+        monkeypatch.setattr(BatchedTracer, "begin", recording_begin)
+        monkeypatch.setattr(BatchedTracer, "step_many", recording_step_many)
+        return blocks
+
+    def test_distinct_systems_share_blocks(
+        self, deployment, plane, wavelength, recorded_blocks
     ):
-        items = self.make_ideal_items(deployment, plane, wavelength, count=3)
-        items[1][0].tracer = TrajectoryTracer(plane, wavelength)
+        items = make_ideal_items(deployment, plane, wavelength, count=3)
+        assert len({id(system) for system, _ in items}) == 3
         serial = [
             system.reconstruct(series, candidate_count=2)
             for system, series in items
         ]
+        del recorded_blocks[:]
         batched = reconstruct_many(items, candidate_count=2)
+        per_word_steps = sum(len(series[0]) for _, series in items)
+        assert len(recorded_blocks) < per_word_steps
+        assert max(len(block) for block in recorded_blocks) == len(items)
         for expected, got in zip(serial, batched):
-            assert got.chosen_index == expected.chosen_index
-            assert np.array_equal(got.trajectory, expected.trajectory)
+            _assert_results_identical(expected, got)
 
+    def test_different_loss_never_shares_a_block(
+        self, deployment, plane, wavelength, recorded_blocks
+    ):
+        configs = [None, TracerConfig(loss="linear"), None]
+        items = make_ideal_items(
+            deployment, plane, wavelength, count=3, configs=configs
+        )
+        serial = [
+            system.reconstruct(series, candidate_count=2)
+            for system, series in items
+        ]
+        del recorded_blocks[:]
+        batched = reconstruct_many(items, candidate_count=2)
+        assert all(len(set(block)) == 1 for block in recorded_blocks)
+        # The two soft-L1 words still merge with each other.
+        assert ["soft_l1", "soft_l1"] in recorded_blocks
+        assert ["linear"] in recorded_blocks
+        for expected, got in zip(serial, batched):
+            _assert_results_identical(expected, got)
+
+
+class TestFallbacksAndValidation:
     def test_empty_items(self):
         assert reconstruct_many([]) == []
 
@@ -164,7 +210,7 @@ class TestFallbacksAndValidation:
         system = RFIDrawSystem(deployment, plane, wavelength)
         with pytest.raises(ValueError, match="no pair series"):
             reconstruct_many([(system, [])])
-        items = self.make_ideal_items(deployment, plane, wavelength, count=1)
+        items = make_ideal_items(deployment, plane, wavelength, count=1)
         _, series = items[0]
         truncated = list(series)
         truncated[0] = type(series[0])(

@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.tracing import (
-    GridTracer,
-    TracerConfig,
-    TrajectoryTracer,
-    lock_lobes,
-)
+from repro.core.tracing import TracerConfig
 
 from tests.helpers import ideal_pair_series
+from tests.oracles import GridTracer, TrajectoryTracer, lock_lobes
 
 
 def circle_uv(center=(1.3, 1.2), radius=0.08, steps=60):

@@ -160,6 +160,18 @@ class TestFacadeShims:
             session = system.open_session(candidate_count=2)
         assert session.candidate_count == 2
 
+    def test_reconstruct_log_legacy_warning_names_caller(self):
+        """The shim's warning is attributed to the code that called
+        reconstruct_log, not to the library forwarding the arguments."""
+        from repro.serve.workload import fleet_system, synthetic_fleet
+
+        fleet = fleet_system()
+        reports = synthetic_fleet(fleet, tags=1)
+        with pytest.warns(DeprecationWarning, match="reconstruct_log") as record:
+            result = fleet.reconstruct_log(reports, sample_rate=20.0)
+        assert [w.filename for w in record] == [__file__]
+        assert len(result.times) > 0
+
     def test_open_session_conflict(self, system):
         with pytest.raises(ValueError, match="not alongside"):
             system.open_session(
