@@ -42,3 +42,23 @@ def timed(fn, repeats: int = 1):
         value = fn()
         best = min(best, time.perf_counter() - start)
     return value, best
+
+
+def timed_interleaved(fns, repeats: int = 1, setup=None):
+    """Best-of-``repeats`` wall time of each of ``fns``, run round-robin.
+
+    Alternating the calls makes every side of a speedup ratio sample the
+    same stretch of machine load, so a burst of contention on a shared
+    host cannot land on one side only. With ``setup``, every call is
+    ``fn(setup())`` and ``setup`` runs outside the timed region. Returns
+    one ``(value, seconds)`` per function, in order.
+    """
+    best = [np.inf] * len(fns)
+    values = [None] * len(fns)
+    for _ in range(repeats):
+        for slot, fn in enumerate(fns):
+            args = () if setup is None else (setup(),)
+            start = time.perf_counter()
+            values[slot] = fn(*args)
+            best[slot] = min(best[slot], time.perf_counter() - start)
+    return list(zip(values, best))

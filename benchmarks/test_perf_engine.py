@@ -27,7 +27,9 @@ from repro.experiments.scenarios import ScenarioConfig, simulate_word
 from repro.rf.phase import cycle_residual
 from repro.rfid.sampling import snapshot_at
 
-from bench_io import timed as _timed, update_bench
+from bench_io import timed as _timed
+from bench_io import timed_interleaved as _timed_interleaved
+from bench_io import update_bench
 from tests.oracles import TrajectoryTracer, total_votes_reference
 
 _TWO_PI = 2.0 * np.pi
@@ -189,17 +191,18 @@ def test_engine_perf_regression():
         cfg.u_range, cfg.v_range, cfg.fine_step
     )
     bank = PairBank(snapshot.pairs)
-    engine_votes, engine_s = _timed(
-        lambda: bank.total_votes(
-            snapshot.delta_phi, fine_points, system.wavelength
-        ),
-        repeats=3,
-    )
-    legacy_votes, legacy_s = _timed(
-        lambda: total_votes_reference(
-            snapshot.pairs, snapshot.delta_phi, fine_points, system.wavelength
-        ),
-        repeats=2,
+    # Interleaved best-of-5: both sides of this sub-second ratio must
+    # sample the same host load, or one burst of contention decides it.
+    (engine_votes, engine_s), (legacy_votes, legacy_s) = _timed_interleaved(
+        [
+            lambda: bank.total_votes(
+                snapshot.delta_phi, fine_points, system.wavelength
+            ),
+            lambda: total_votes_reference(
+                snapshot.pairs, snapshot.delta_phi, fine_points, system.wavelength
+            ),
+        ],
+        repeats=5,
     )
     assert np.abs(engine_votes - legacy_votes).max() < 1e-9
     results.append(

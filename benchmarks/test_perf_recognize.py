@@ -14,9 +14,15 @@ old ``WordRecognizer`` used — and merges machine-readable results into
 - ``dtw_batch_sweep`` — the raw kernel: ``dtw_distance_many`` over one
   fixed (T, N, 2) template stack versus T scalar ``dtw_distance`` calls,
   cross-checked element-wise to 1e-9 (no abandon on either side).
+- ``recognize_word_cold_100k`` — the recognition a user waits for at
+  pen-up in a fresh process: a new ``LexiconRecognizer`` per repeat, so
+  every shortlist template is a cache miss. The legacy side renders the
+  same shortlist one word at a time through the generator and
+  ``normalize_trajectory`` and scores it with the same chunked batched
+  DTW, so the ratio isolates batched template synthesis.
 
 Asserted floors sit well below the measured speedups (≈10× end-to-end,
-≈15× raw kernel on the dev box) so throttled CI hardware does not
+≈15× raw kernel, ≈2.5× cold on the dev box) so throttled CI hardware does not
 flake, while still catching a regression to per-template Python loops.
 """
 
@@ -26,11 +32,12 @@ import numpy as np
 
 from repro.experiments.scenarios import ScenarioConfig, simulate_word
 from repro.handwriting.dtw import dtw_distance
+from repro.handwriting.generator import HandwritingGenerator, UserStyle
 from repro.handwriting.recognizer import normalize_trajectory
 from repro.lexicon import LexiconRecognizer, default_lexicon, dtw_distance_many
-from repro.lexicon.recognizer import _ABANDON_SLACK
+from repro.lexicon.recognizer import _ABANDON_SLACK, _SCORE_CHUNK
 
-from bench_io import timed as _timed, update_bench
+from bench_io import timed as _timed, timed_interleaved, update_bench
 
 
 def _legacy_scalar_scores(query, templates, band):
@@ -48,6 +55,37 @@ def _legacy_scalar_scores(query, templates, band):
         if distance < best:
             best = distance
     return out
+
+
+def _legacy_cold_recognize(recognizer, trajectory):
+    """Cold recognition with per-word template rendering: the shortlist,
+    then one ``word_trace`` + ``normalize_trajectory`` per candidate,
+    then the engine's chunked batched DTW with its adaptive bound."""
+    picks = recognizer.index.shortlist(trajectory)
+    words = [recognizer.lexicon.words[int(i)] for i in picks]
+    query = normalize_trajectory(trajectory, recognizer.resample, deslant=True)
+    generator = HandwritingGenerator(style=UserStyle.neutral(), font=recognizer.font)
+    stack = np.stack(
+        [
+            normalize_trajectory(
+                generator.word_trace(word).points, recognizer.resample, deslant=True
+            )
+            for word in words
+        ]
+    )
+    distances = np.full(len(words), np.inf)
+    best = np.inf
+    for lo in range(0, len(words), _SCORE_CHUNK):
+        bound = None if not np.isfinite(best) else best * _ABANDON_SLACK
+        scored = dtw_distance_many(
+            query, stack[lo : lo + _SCORE_CHUNK], band=recognizer.band, early_abandon=bound
+        )
+        distances[lo : lo + len(scored)] = scored
+        finite = scored[np.isfinite(scored)]
+        if len(finite):
+            best = min(best, float(finite.min()))
+    winner = int(np.argmin(distances))
+    return words[winner], float(distances[winner])
 
 
 def test_recognize_perf_regression():
@@ -130,6 +168,31 @@ def test_recognize_perf_regression():
         }
     )
 
+    # ------------------------------------------------------------------
+    # Op 3: cold recognition — every shortlist template is synthesised.
+    # ------------------------------------------------------------------
+    lexicon = recognizer.lexicon
+    (cold, cold_s), (legacy_cold, legacy_cold_s) = timed_interleaved(
+        [
+            lambda fresh: fresh.recognize(trajectory),
+            lambda fresh: _legacy_cold_recognize(fresh, trajectory),
+        ],
+        repeats=5,
+        setup=lambda: LexiconRecognizer(lexicon=lexicon),
+    )
+    assert cold.word == legacy_cold[0] == "water"
+    assert abs(cold.distance - legacy_cold[1]) < 1e-9
+    results.append(
+        {
+            "op": "recognize_word_cold_100k",
+            "lexicon_words": len(lexicon),
+            "shortlist": int(cold.shortlist_size),
+            "wall_seconds": cold_s,
+            "wall_seconds_legacy": legacy_cold_s,
+            "speedup": legacy_cold_s / cold_s,
+        }
+    )
+
     update_bench(results)
 
     # Conservative floors — the acceptance bar is the recorded ≥5× on
@@ -138,3 +201,4 @@ def test_recognize_perf_regression():
     by_op = {entry["op"]: entry for entry in results}
     assert by_op["recognize_word_100k"]["speedup"] >= 3.0
     assert by_op["dtw_batch_sweep"]["speedup"] >= 3.0
+    assert by_op["recognize_word_cold_100k"]["speedup"] >= 1.5

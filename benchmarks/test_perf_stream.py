@@ -30,7 +30,9 @@ from repro.experiments.scenarios import ScenarioConfig, simulate_word
 from repro.rfid.sampling import build_pair_series
 from repro.stream import SessionConfig
 
-from bench_io import timed as _timed, update_bench
+from bench_io import timed as _timed
+from bench_io import timed_interleaved as _timed_interleaved
+from bench_io import update_bench
 
 #: Pruning knobs for the steady-state op: on the fig10 "clear" word the
 #: 4-vote margin with an 80-step burn-in drops every wrong-lobe
@@ -74,12 +76,9 @@ def test_stream_perf_regression():
     )
 
     # ------------------------------------------------------------------
-    # Batch reference: the facade on prebuilt series.
-    # ------------------------------------------------------------------
-    batch_result, batch_s = _timed(lambda: system.reconstruct(series))
-
-    # ------------------------------------------------------------------
-    # Streaming: construct session, ingest every report, finalize.
+    # Batch reference (the facade on prebuilt series) against streaming
+    # (construct session, ingest every report, finalize), interleaved
+    # best-of-3 so both sides of the overhead ratio see the same load.
     # ------------------------------------------------------------------
     def stream_word():
         session = system.open_session(
@@ -89,7 +88,9 @@ def test_stream_perf_regression():
             session.ingest(report)
         return session.finalize()
 
-    stream_result, stream_s = _timed(stream_word)
+    (batch_result, batch_s), (stream_result, stream_s) = _timed_interleaved(
+        [lambda: system.reconstruct(series), stream_word], repeats=3
+    )
 
     # The whole point of the redesign: streaming must answer exactly
     # like batch (the facade routes through the session).
@@ -102,24 +103,17 @@ def test_stream_perf_regression():
     # ------------------------------------------------------------------
     # Amortized ingest cost, positioner warm-up and finalize excluded:
     # the steady-state per-report latency a reader loop experiences.
-    # Best-of-2 fresh sessions to tame scheduler noise.
+    # The pruned run warms past the prune transient (half the log), then
+    # measures the tail, where the batched solve has shrunk to the
+    # surviving candidate(s). Fresh sessions alternate between the two,
+    # best-of-5 each, to tame scheduler noise on both sides alike.
     # ------------------------------------------------------------------
-    per_report, steady_count, session, _ = min(
-        (
+    unpruned_runs, pruned_runs = [], []
+    for _ in range(5):
+        unpruned_runs.append(
             _steady_ingest(system, log, run.config.sample_rate, 0.25)
-            for _ in range(2)
-        ),
-        key=lambda measured: measured[0],
-    )
-    per_report_us = 1e6 * per_report
-
-    # ------------------------------------------------------------------
-    # The same steady state with candidate pruning converged: warm past
-    # the prune transient (half the log), then measure the tail, where
-    # the batched solve has shrunk to the surviving candidate(s).
-    # ------------------------------------------------------------------
-    pruned_per_report, pruned_count, pruned_session, pruned_result = min(
-        (
+        )
+        pruned_runs.append(
             _steady_ingest(
                 system,
                 log,
@@ -128,9 +122,13 @@ def test_stream_perf_regression():
                 prune_margin=PRUNE_MARGIN,
                 prune_burn_in=PRUNE_BURN_IN,
             )
-            for _ in range(2)
-        ),
-        key=lambda measured: measured[0],
+        )
+    per_report, steady_count, session, _ = min(
+        unpruned_runs, key=lambda measured: measured[0]
+    )
+    per_report_us = 1e6 * per_report
+    pruned_per_report, pruned_count, pruned_session, pruned_result = min(
+        pruned_runs, key=lambda measured: measured[0]
     )
     pruned_us = 1e6 * pruned_per_report
     state = pruned_session._trace_state

@@ -193,6 +193,23 @@ class HandwritingGenerator:
         self.sample_rate = sample_rate
 
     # ------------------------------------------------------------------
+    def timing(self, path_length):
+        """Duration and sample count of writing a path at constant speed.
+
+        The writer's speed sets the duration (at least two sample
+        periods); one sample per period plus the end point, and at least
+        two. Element-wise over an array of path lengths.
+
+        Returns:
+            ``(duration, count)`` — float and int64, shaped like
+            ``path_length``.
+        """
+        duration = np.maximum(
+            np.divide(path_length, self.style.speed), 2.0 / self.sample_rate
+        )
+        count = np.ceil(duration * self.sample_rate).astype(np.int64) + 1
+        return duration, np.maximum(count, 2)
+
     def word_trace(
         self,
         word: str,
@@ -261,8 +278,8 @@ class HandwritingGenerator:
         path_length = float(
             np.linalg.norm(np.diff(smooth, axis=0), axis=1).sum()
         )
-        duration = max(path_length / style.speed, 2.0 / self.sample_rate)
-        count = max(int(np.ceil(duration * self.sample_rate)) + 1, 2)
+        duration, count = self.timing(path_length)
+        duration, count = float(duration), int(count)
         points = resample_polyline(smooth, count)
         times = start_time + np.linspace(0.0, duration, count)
 

@@ -27,7 +27,17 @@ from repro.handwriting.generator import (
     resample_polyline,
 )
 
-__all__ = ["normalize_trajectory", "CharacterRecognizer", "WordRecognizer"]
+__all__ = [
+    "normalize_trajectory",
+    "normalize_resampled",
+    "CharacterRecognizer",
+    "WordRecognizer",
+]
+
+
+#: Largest writing slant (|dx/dy|) that deslanting removes; steeper
+#: shears are left alone rather than read as slant.
+DESLANT_CLIP = 0.35
 
 
 def normalize_trajectory(
@@ -48,22 +58,33 @@ def normalize_trajectory(
         raise ValueError("expected an (N, 2) trajectory")
     if points.shape[0] < 2:
         raise ValueError("need at least two points")
-    resampled = resample_polyline(points, count)
-    resampled = resampled - resampled.mean(axis=0)
+    return normalize_resampled(resample_polyline(points, count), deslant)
+
+
+def normalize_resampled(points: np.ndarray, deslant: bool = False) -> np.ndarray:
+    """The centre / deslant / height steps of :func:`normalize_trajectory`.
+
+    ``points`` is an already resampled ``(..., R, 2)`` stack; every
+    trajectory in it is normalised on its own.
+    """
+    out = points - points.mean(axis=-2, keepdims=True)
+    x, y = out[..., 0], out[..., 1]
     if deslant:
-        y_var = float(np.dot(resampled[:, 1], resampled[:, 1]))
-        if y_var > 1e-12:
-            slope = float(np.dot(resampled[:, 0], resampled[:, 1])) / y_var
-            # Only correct plausible writing slants, not arbitrary shears.
-            slope = float(np.clip(slope, -0.35, 0.35))
-            resampled[:, 0] -= slope * resampled[:, 1]
-            resampled[:, 0] -= resampled[:, 0].mean()
-    height = resampled[:, 1].max() - resampled[:, 1].min()
-    if height < 1e-9:
-        height = resampled[:, 0].max() - resampled[:, 0].min()
-    if height < 1e-9:
-        height = 1.0
-    return resampled / height
+        # Row dot products via matmul, which sums each row in the same
+        # order as ``np.dot`` on a single trajectory.
+        y_var = (y[..., None, :] @ y[..., :, None])[..., 0, 0]
+        tilted = y_var > 1e-12
+        xy = (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+        slope = xy / np.where(tilted, y_var, 1.0)
+        # Only correct plausible writing slants, not arbitrary shears.
+        slope = np.clip(slope, -DESLANT_CLIP, DESLANT_CLIP)
+        sheared = x - slope[..., None] * y
+        sheared -= sheared.mean(axis=-1, keepdims=True)
+        np.copyto(x, sheared, where=tilted[..., None])
+    height = y.max(axis=-1) - y.min(axis=-1)
+    height = np.where(height < 1e-9, x.max(axis=-1) - x.min(axis=-1), height)
+    height = np.where(height < 1e-9, 1.0, height)
+    return out / height[..., None, None]
 
 
 @dataclass(frozen=True)
@@ -211,28 +232,21 @@ class WordRecognizer:
         self.dictionary = tuple(dictionary if dictionary is not None else CORPUS)
         if not self.dictionary:
             raise ValueError("the dictionary is empty")
-        generator = HandwritingGenerator(
-            style=UserStyle.neutral(), font=self.font
-        )
-        # Every template is rendered here, once: construction is the
-        # only time the template set can change, so there is no cache
-        # to invalidate (the old lazily-built matrix kept scoring
-        # against a stale copy if the dictionary grew afterwards) and
-        # nothing grows per classify in long-running processes.
-        templates: dict[str, _Template] = {}
-        for word in self.dictionary:
-            trace = generator.word_trace(word)
-            normalized = normalize_trajectory(
-                trace.points, self.resample, deslant=True
-            )
-            normalized.setflags(write=False)
-            length, width = _shape_features(normalized)
-            templates[word] = _Template(word, normalized, length, width)
-        self._templates = templates
-        matrix = np.stack(
-            [templates[word].points for word in self.dictionary]
-        )  # (W, resample, 2)
-        matrix.setflags(write=False)
+        # Imported here: repro.lexicon.store imports this module.
+        from repro.lexicon.store import neutral_templates
+
+        # Every template is rendered here, once, in one vectorised pass:
+        # construction is the only time the template set can change, so
+        # there is no cache to invalidate (the old lazily-built matrix
+        # kept scoring against a stale copy if the dictionary grew
+        # afterwards) and nothing grows per classify in long-running
+        # processes.
+        matrix = neutral_templates(self.dictionary, self.resample, self.font)
+        matrix.setflags(write=False)  # (W, resample, 2); rows are views
+        self._templates = {
+            word: _Template(word, points, *_shape_features(points))
+            for word, points in zip(self.dictionary, matrix)
+        }
         self._matrix = matrix
 
     def _template(self, word: str) -> _Template:

@@ -2,26 +2,31 @@
 
 The scalar :func:`repro.handwriting.dtw.dtw_distance` stays the
 executable spec; this module evaluates the *same* recurrence for many
-templates at once. The per-row costs and the three-way min recurrence
-are computed with identical floating-point operations in identical
-order, so :func:`dtw_distance_many` matches the scalar spec bit-for-bit
-in practice (the tests enforce ≤1e-9).
+templates at once. Every cell's cost and its three-way min are the
+same floating-point operations as in the scalar kernel, so
+:func:`dtw_distance_many` matches the scalar spec bit-for-bit in
+practice (the tests enforce ≤1e-9) and reproduces the earlier
+row-by-row batched sweep exactly, ``inf`` pattern included.
 
 Why it is fast: the scalar kernel pays one Python-level DP loop *per
-template*; scanning a shortlist of ``T`` templates costs
-``T · N · band`` interpreted iterations. Here the DP runs once — each
-band cell of each row is one vectorized operation over the template
-axis — so the interpreted iteration count is ``N · band`` regardless of
-``T``, and the shortlist rides along in numpy. On recognition-sized
-problems (``N = M = 128``, ``band = 16``, ``T = 256``) that is an
-order of magnitude over the scalar loop (``dtw_batch_sweep`` in
-``BENCH_engine.json`` tracks the real number).
+template*. Here the DP runs once for the whole shortlist, and it runs
+along anti-diagonals: the cells on ``i + j = k`` depend only on
+diagonals ``k − 1`` and ``k − 2``, so each diagonal is one vectorised
+update over (band cells × templates). A row-by-row sweep must walk its
+band cells one at a time (each needs its left neighbour), i.e.
+``N · (2·band + 1)`` interpreted steps; the wavefront takes
+``N + M − 1``, whatever ``band`` and ``T`` are. On recognition-sized
+problems (``N = M = 128``, ``band = 16``, ``T = 64``) that cuts the
+batched kernel's time about threefold (``dtw_batch_sweep`` in
+``BENCH_engine.json`` tracks it against the scalar loop).
 
-Early abandoning works per template: a template whose entire band row
-exceeds the bound is marked dead (its distance is ``inf``, exactly like
-the scalar kernel returning early), and when enough of the batch has
-died the live templates are compacted so the remaining rows stop paying
-for the dead ones.
+Early abandoning works per template: a template with a band row whose
+every cell exceeds the bound reports ``inf``, exactly like the scalar
+kernel returning early. Row minima never decrease down the table —
+every cell is a non-negative cost plus a neighbour's value, and the
+leftmost band cell of a row can only read the row above — so some row
+exceeds the bound exactly when the last row does, and the wavefront
+only has to track the last row's minimum.
 """
 
 from __future__ import annotations
@@ -83,56 +88,48 @@ def dtw_distance_many(
     scale = float(max(n, m))
     bound = np.inf if early_abandon is None else early_abandon * scale
 
-    # One DP row pair per *live* template; ``order`` maps live rows back
-    # to their original template index so compaction never loses track.
-    order = np.arange(count)
-    live = templates
-    out = np.full(count, np.inf)
-    previous = np.full((count, m + 1), np.inf)
-    previous[:, 0] = 0.0
-    current = np.full((count, m + 1), np.inf)
+    # Diagonal k holds the cells (i, k - i); buffers are indexed by the
+    # query row i (0..n+1) with the template axis last, and rotate
+    # through diagonals k-2 (``older``), k-1 (``old``) and k (``new``).
+    # Diagonal 0 is the origin cell (0, 0) = 0; diagonal 1 is all
+    # boundary (inf).
+    older = np.full((n + 2, count), np.inf)
+    older[0] = 0.0
+    old = np.full((n + 2, count), np.inf)
+    new = np.empty((n + 2, count))
+    # Templates reversed along their points and transposed to (M, T, D):
+    # as i rises along a diagonal, j = k - i falls, so the diagonal's
+    # template points are one forward slice of this array. The query is
+    # broadcast to (N, T, D) once, so each diagonal's differences are
+    # one flat subtraction.
+    reverse = np.ascontiguousarray(templates[:, ::-1, :].transpose(1, 0, 2))
+    points = np.ascontiguousarray(
+        np.broadcast_to(query[:, None, :], (n, count, query.shape[1]))
+    )
+    last_row_min = np.full(count, np.inf)
 
-    for i in range(1, n + 1):
-        j_lo = max(1, i - band)
-        j_hi = min(m, i + band)
-        # The scalar spec refills the whole row with inf; here only the
-        # two columns flanking the band window are ever read before
-        # being written (this row's left boundary, and the next row's
-        # widened reads into this buffer), so those suffice.
-        current[:, j_lo - 1] = np.inf
-        if j_hi < m:
-            current[:, j_hi + 1] = np.inf
-        # Distances from query[i-1] to the band's template points — the
-        # same einsum+sqrt arithmetic as the scalar kernel, with the
-        # template axis in front.
-        diff = live[:, j_lo - 1 : j_hi, :] - query[i - 1]
-        costs = np.sqrt(np.einsum("twd,twd->tw", diff, diff))
-        # min(previous[j], previous[j-1]) for the whole window at once;
-        # the current[j-1] dependency stays sequential in j (it is the
-        # DP), vectorized across templates.
-        hold = np.minimum(
-            previous[:, j_lo - 1 : j_hi], previous[:, j_lo : j_hi + 1]
-        )
-        row_min = np.full(live.shape[0], np.inf)
-        left = current[:, j_lo - 1]  # inf boundary column
-        for offset in range(j_hi - j_lo + 1):
-            value = costs[:, offset] + np.minimum(hold[:, offset], left)
-            current[:, j_lo + offset] = value
-            left = value
-            row_min = np.minimum(row_min, value)
-        if bound < np.inf:
-            dead = row_min > bound
-            if dead.any():
-                keep = ~dead
-                if not keep.any():
-                    return out
-                # Compact: dead templates already hold inf in ``out``;
-                # the survivors' DP state shrinks so later rows stop
-                # sweeping dead lanes.
-                order = order[keep]
-                live = live[keep]
-                current = current[keep]
-                previous = previous[keep]
-        previous, current = current, previous
-    out[order] = previous[:, m] / scale
+    for k in range(2, n + m + 1):
+        # Rows on this diagonal inside the table and the band |i - j| ≤ band.
+        lo = max(1, k - m, (k - band + 1) // 2)
+        hi = min(n, k - 1, (k + band) // 2)
+        # cost(i, j) for the whole diagonal — the scalar kernel's
+        # einsum + sqrt arithmetic, over (cells, templates).
+        diff = reverse[m - k + lo : m - k + hi + 1] - points[lo - 1 : hi]
+        costs = np.sqrt(np.einsum("wtd,wtd->wt", diff, diff))
+        # min(D[i-1, j], D[i, j-1], D[i-1, j-1]): the first two lie on
+        # diagonal k-1, the last on k-2.
+        best = np.minimum(old[lo - 1 : hi], old[lo : hi + 1])
+        np.minimum(best, older[lo - 1 : hi], out=best)
+        np.add(costs, best, out=new[lo : hi + 1])
+        # The band edges move by at most one row per diagonal, so the
+        # two rows flanking this diagonal are the only stale slots the
+        # next two diagonals can read.
+        new[lo - 1] = np.inf
+        new[hi + 1] = np.inf
+        if hi == n:
+            np.minimum(last_row_min, new[n], out=last_row_min)
+        older, old, new = old, new, older
+
+    out = old[n] / scale
+    out[last_row_min > bound] = np.inf
     return out

@@ -1,12 +1,12 @@
 """Lexicon-scale word recognition: index pruning + batched banded DTW.
 
 The pipeline per query: the trajectory's shape features prune the
-lexicon to a shortlist (`repro.lexicon.index`), templates for the
-shortlist are synthesised on demand through a bounded LRU cache, and
-one batched DTW sweep (`repro.lexicon.dtw_batch`) scores them — in
-feature-rank order with an adaptive early-abandon bound, so the likely
-winner (median feature rank 0) sets a tight bound for the rest of the
-batch.
+lexicon to a shortlist (`repro.lexicon.index`), the shortlist's
+templates come from a bounded LRU cache — every miss synthesised in one
+vectorised pass (`repro.lexicon.store.neutral_templates`) — and batched
+DTW (`repro.lexicon.dtw_batch`) scores them in feature-rank chunks with
+an adaptive early-abandon bound, so the likely winner (median feature
+rank 0) sets a tight bound for the rest of the shortlist.
 
 :class:`LexiconRecognizer` is the engine; ``WordRecognizer`` in
 `repro.handwriting.recognizer` stays the user-facing facade.
@@ -20,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.handwriting.font import StrokeFont, default_font
-from repro.handwriting.generator import HandwritingGenerator, UserStyle
 from repro.handwriting.recognizer import normalize_trajectory
 from repro.lexicon.dtw_batch import dtw_distance_many
 from repro.lexicon.index import DEFAULT_SHORTLIST, LexiconIndex
-from repro.lexicon.store import Lexicon, default_lexicon
+from repro.lexicon.store import Lexicon, default_lexicon, neutral_templates
 
 __all__ = ["RecognitionResult", "LexiconRecognizer", "RecognizerFactory"]
 
@@ -89,27 +88,41 @@ class LexiconRecognizer:
         self.index = LexiconIndex(lexicon, font=font, shortlist=shortlist)
         self.lexicon = self.index.lexicon
         self.cache_size = int(cache_size)
-        self._generator = HandwritingGenerator(
-            style=UserStyle.neutral(), font=self.font
-        )
         self._templates: OrderedDict[str, np.ndarray] = OrderedDict()
 
     # -- templates ------------------------------------------------------
     def template(self, word: str) -> np.ndarray:
         """The word's normalised neutral template (LRU-cached)."""
-        cached = self._templates.get(word)
-        if cached is not None:
+        return self.templates((word,))[0]
+
+    def templates(self, words) -> list[np.ndarray]:
+        """The cached read-only template of every word, in request order.
+
+        Cache hits are reused; all misses (each distinct word once) are
+        synthesised together in one vectorised pass. The LRU cache then
+        sees the words in request order — each moved to the most-recent
+        end — and is trimmed to ``cache_size``.
+        """
+        words = tuple(words)
+        unique = dict.fromkeys(words)
+        found = {
+            word: self._templates[word]
+            for word in unique
+            if word in self._templates
+        }
+        misses = [word for word in unique if word not in found]
+        if misses:
+            batch = neutral_templates(misses, self.resample, font=self.font)
+            for word, row in zip(misses, batch):
+                row = row.copy()  # own its memory: evictions free it
+                row.setflags(write=False)
+                found[word] = row
+        for word in words:
+            self._templates[word] = found[word]
             self._templates.move_to_end(word)
-            return cached
-        trace = self._generator.word_trace(word)
-        normalized = normalize_trajectory(
-            trace.points, self.resample, deslant=True
-        )
-        normalized.setflags(write=False)
-        self._templates[word] = normalized
         while len(self._templates) > self.cache_size:
             self._templates.popitem(last=False)
-        return normalized
+        return [found[word] for word in words]
 
     @property
     def cached_templates(self) -> int:
@@ -141,16 +154,18 @@ class LexiconRecognizer:
             raise ValueError("no lexicon candidates match the constraints")
         query = normalize_trajectory(points, self.resample, deslant=True)
         words = [self.lexicon.words[int(i)] for i in picks]
+        stack = np.stack(self.templates(words))
         distances = np.full(len(words), np.inf)
         best = np.inf
         for lo in range(0, len(words), _SCORE_CHUNK):
-            chunk = words[lo : lo + _SCORE_CHUNK]
-            stack = np.stack([self.template(word) for word in chunk])
             bound = None if not np.isfinite(best) else best * _ABANDON_SLACK
             scored = dtw_distance_many(
-                query, stack, band=self.band, early_abandon=bound
+                query,
+                stack[lo : lo + _SCORE_CHUNK],
+                band=self.band,
+                early_abandon=bound,
             )
-            distances[lo : lo + len(chunk)] = scored
+            distances[lo : lo + len(scored)] = scored
             finite = scored[np.isfinite(scored)]
             if len(finite):
                 best = min(best, float(finite.min()))
@@ -170,13 +185,14 @@ class LexiconRecognizer:
         )
 
     def scores(self, points: np.ndarray) -> dict[str, float]:
-        """DTW distance per shortlisted word (``inf`` = abandoned)."""
+        """Exact DTW distance per shortlisted word (nothing is abandoned)."""
         points = np.asarray(points, dtype=float)
         picks = self.index.shortlist(points)
         query = normalize_trajectory(points, self.resample, deslant=True)
         words = [self.lexicon.words[int(i)] for i in picks]
-        stack = np.stack([self.template(word) for word in words])
-        distances = dtw_distance_many(query, stack, band=self.band)
+        distances = dtw_distance_many(
+            query, np.stack(self.templates(words)), band=self.band
+        )
         return {
             word: float(distance)
             for word, distance in zip(words, distances)

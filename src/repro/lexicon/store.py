@@ -18,13 +18,18 @@ template style has no jitter, wobble or tremor, which makes a word's raw
 polyline an exact concatenation of glyph polylines at layout cursors.
 One flat vectorised Chaikin pass smooths every word at once, and the
 features fall out of per-word ``reduceat`` reductions — the whole 100k
-lexicon builds in a couple of seconds. A small affine calibration,
+lexicon builds in about 5 s on a 2-core x86 box. A small affine calibration,
 fitted once against genuinely rendered templates, absorbs what path
 assembly cannot see (finite resampling, the normalised frame's shear),
 and :func:`style_tolerance` measures how much each feature wobbles
 across writing styles — the natural per-feature length scale for the
 index tier (`repro.lexicon.index`), which prunes on these features so
 only a shortlist ever pays for template synthesis + DTW.
+
+The same assembled paths give the DTW templates themselves:
+:func:`neutral_templates` carries them through the generator's
+constant-speed resampling and the recogniser's normalisation for a
+whole batch of words at once.
 """
 
 from __future__ import annotations
@@ -38,12 +43,14 @@ import numpy as np
 from repro.handwriting.corpus import CORPUS
 from repro.handwriting.font import StrokeFont, default_font
 from repro.handwriting.generator import HandwritingGenerator, UserStyle
+from repro.handwriting.recognizer import DESLANT_CLIP, normalize_resampled
 
 __all__ = [
     "Lexicon",
     "build_lexicon",
     "default_lexicon",
     "template_features",
+    "neutral_templates",
     "query_features",
     "style_tolerance",
     "FEATURE_NAMES",
@@ -81,9 +88,6 @@ _NEUTRAL_SMOOTHING = UserStyle.neutral().smoothing
 #: clips a path's y-extremes and that noise would eat the features'
 #: discriminative power. Independent of the DTW knobs.
 _QUERY_RESAMPLE = 512
-
-#: Deslant shear clip, mirroring ``normalize_trajectory``.
-_SHEAR_CLIP = 0.35
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 _ORD_A = ord("a")
@@ -178,32 +182,47 @@ class Lexicon:
 # ----------------------------------------------------------------------
 # Assembled template paths → shape features
 # ----------------------------------------------------------------------
-def _encode(words) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten words into one char-code array + word-start offsets."""
+def _encode(
+    words, code_points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten words into one glyph-index array + word-start offsets.
+
+    ``code_points`` holds the sorted code point of every glyph in the
+    font's tables; a character is encoded as its position there.
+    """
     lengths = np.fromiter((len(w) for w in words), dtype=np.int64,
                           count=len(words))
     if len(words) and (lengths == 0).any():
         raise ValueError("lexicon words must be non-empty")
-    flat = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
-    codes = flat.astype(np.int64) - _ORD_A
-    if len(codes) and (codes.min() < 0 or codes.max() >= len(_ALPHABET)):
-        raise ValueError("lexicon words must be lowercase a-z")
+    text = "".join(words)
+    chars = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    codes = np.searchsorted(code_points, chars)
+    known = code_points[np.minimum(codes, len(code_points) - 1)] == chars
+    if not known.all():
+        missing = text[int(np.argmin(known))]
+        raise ValueError(f"the font has no glyph for {missing!r}")
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     return codes, starts
 
 
 @lru_cache(maxsize=4)
 def _glyph_tables(font: StrokeFont | None):
-    """Flat glyph polylines + layout advances for the neutral style."""
+    """Flat glyph polylines + layout advances for the neutral style.
+
+    Covers every glyph of the font, in code point order; the last entry
+    is those code points, for :func:`_encode`.
+    """
     resolved = font or default_font()
-    polylines = [resolved.glyph(c).polyline() for c in _ALPHABET]
+    chars = [c for c in resolved.characters if len(c) == 1]
+    polylines = [resolved.glyph(c).polyline() for c in chars]
     counts = np.array([len(p) for p in polylines], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
     flat = np.concatenate(polylines, axis=0)
     advance = np.array(
-        [resolved.glyph(c).width + _NEUTRAL_SPACING for c in _ALPHABET]
+        [resolved.glyph(c).width + _NEUTRAL_SPACING for c in chars]
     )
-    return flat, offsets, counts, advance
+    code_points = np.array([ord(c) for c in chars], dtype=np.uint32)
+    return flat, offsets, counts, advance, code_points
 
 
 def _assemble_paths(
@@ -221,8 +240,8 @@ def _assemble_paths(
         ``(flat, starts)`` — ``(P, 2)`` points and ``(W + 1,)`` word
         boundary offsets into them.
     """
-    gflat, goffsets, gcounts, advance = _glyph_tables(font)
-    codes, wstarts = _encode(words)
+    gflat, goffsets, gcounts, advance, code_points = _glyph_tables(font)
+    codes, wstarts = _encode(words, code_points)
     if not len(codes):
         return np.empty((0, 2)), np.zeros(len(words) + 1, dtype=np.int64)
     wends = np.concatenate([wstarts[1:], [len(codes)]])
@@ -265,18 +284,17 @@ def _chaikin_flat(
     Identical arithmetic to the generator's ``_chaikin`` (q/r corner
     points, endpoints kept), but over the flat multi-word array: a
     word starting at ``s`` before an iteration starts at ``2 s`` after
-    it, so the subdivided output is written with pure index arithmetic
-    and word boundaries never mix.
+    it. Point pair ``p`` writes its q/r points to output slots
+    ``2p + 1`` and ``2p + 2``, so every pair is written with contiguous
+    slices; the endpoint copies then overwrite exactly the two slots of
+    each pair that straddles a word boundary, so words never mix.
     """
     for _ in range(max(0, iterations)):
-        total = len(flat)
-        pair_ok = np.ones(max(total - 1, 0), dtype=bool)
-        pair_ok[starts[1:-1] - 1] = False  # pairs straddling a boundary
-        idx = np.flatnonzero(pair_ok)
-        out = np.empty((2 * total, 2))
-        head, tail = flat[idx], flat[idx + 1]
-        out[2 * idx + 1] = 0.75 * head + 0.25 * tail
-        out[2 * idx + 2] = 0.25 * head + 0.75 * tail
+        out = np.empty((2 * len(flat), 2))
+        head, tail = flat[:-1], flat[1:]
+        pairs = out[1:-1].reshape(-1, 2, 2)
+        pairs[:, 0] = 0.75 * head + 0.25 * tail
+        pairs[:, 1] = 0.25 * head + 0.75 * tail
         out[2 * starts[:-1]] = flat[starts[:-1]]
         out[2 * starts[1:] - 1] = flat[starts[1:] - 1]
         flat, starts = out, starts * 2
@@ -322,8 +340,8 @@ def _path_features(flat: np.ndarray, starts: np.ndarray) -> np.ndarray:
     cov_xy = s_xy / safe0 - mean_x * mean_y
     slope = np.clip(
         np.where(var_y > 1e-12, cov_xy / np.maximum(var_y, 1e-12), 0.0),
-        -_SHEAR_CLIP,
-        _SHEAR_CLIP,
+        -DESLANT_CLIP,
+        DESLANT_CLIP,
     )
 
     # Deslanted frame: shear x, re-measure lengths and extents there.
@@ -512,6 +530,98 @@ def style_tolerance(font: StrokeFont | None = None) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# Batched neutral templates
+# ----------------------------------------------------------------------
+#: Words per vectorised template-synthesis chunk — bounds the footprint
+#: of the constant-speed resample (~1.5k points per word).
+_TEMPLATE_CHUNK = 512
+
+
+def _resample_flat(
+    flat: np.ndarray, starts: np.ndarray, counts
+) -> tuple[np.ndarray, np.ndarray]:
+    """``resample_polyline`` applied to every word path at once.
+
+    ``counts`` maps the ``(W,)`` word path lengths to ``(W,)`` point
+    counts; word ``w`` becomes ``counts[w]`` points equally spaced by arc
+    length, interpolated with ``np.interp``'s formula (the segment's
+    slope times the offset into it, plus its start). One cumulative arc
+    length over the whole flat array is monotone, so a single
+    ``searchsorted`` places every word's targets (offset by the arc
+    length at the word's start); a target at a word's very end is
+    clipped back onto the word's last segment, so none reads the
+    segment joining two words.
+
+    Returns:
+        ``(points, starts)`` of the resampled flat array.
+    """
+    seg = np.diff(flat, axis=0)
+    lengths = np.sqrt(seg[:, 0] * seg[:, 0] + seg[:, 1] * seg[:, 1])
+    cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    origin = cum[starts[:-1]]
+    total = cum[starts[1:] - 1] - origin
+    counts = counts(total)
+    slope = seg / np.where(lengths > 0.0, lengths, 1.0)[:, None]
+
+    out_starts = np.concatenate([[0], np.cumsum(counts)])
+    local = np.arange(out_starts[-1]) - out_starts[:-1].repeat(counts)
+    targets = local * (total / (counts - 1)).repeat(counts)
+    targets += origin.repeat(counts)
+    idx = np.minimum(
+        np.searchsorted(cum, targets, side="right") - 1,
+        (starts[1:] - 2).repeat(counts),
+    )
+    out = slope[idx]
+    out *= (targets - cum[idx])[:, None]
+    out += flat[idx]
+    return out, out_starts
+
+
+def neutral_templates(
+    words, resample: int = 128, font: StrokeFont | None = None
+) -> np.ndarray:
+    """Normalised neutral-style templates for many words, in one pass.
+
+    Row ``w`` is ``normalize_trajectory(generator.word_trace(word).points,
+    resample, deslant=True)`` for a neutral-style ``HandwritingGenerator``
+    — equal to float rounding (the tests hold it to 1e-9) — without the
+    per-word generator loop: the paths are assembled from glyph
+    polylines (the neutral style has no jitter, wobble or tremor),
+    scaled by the generator's letter height, Chaikin-smoothed, resampled
+    at the generator's constant writing speed and sample rate, then
+    arc-length resampled to ``resample`` points and normalised — each
+    step one vectorised pass over the whole batch.
+
+    Returns:
+        ``(W, resample, 2)`` float array.
+    """
+    words = tuple(words)
+    if resample < 2:
+        raise ValueError("resample must be at least 2")
+    generator = HandwritingGenerator(style=UserStyle.neutral(), font=font)
+
+    def timed_counts(lengths: np.ndarray) -> np.ndarray:
+        return generator.timing(lengths)[1]
+
+    def fixed_counts(lengths: np.ndarray) -> np.ndarray:
+        return np.full(len(lengths), resample, dtype=np.int64)
+
+    out = np.empty((len(words), resample, 2))
+    for lo in range(0, len(words), _TEMPLATE_CHUNK):
+        chunk = words[lo : lo + _TEMPLATE_CHUNK]
+        flat, starts = _assemble_paths(chunk, font=font)
+        flat, starts = _chaikin_flat(
+            flat * generator.letter_height, starts, generator.style.smoothing
+        )
+        flat, starts = _resample_flat(flat, starts, timed_counts)
+        flat, _ = _resample_flat(flat, starts, fixed_counts)
+        out[lo : lo + len(chunk)] = normalize_resampled(
+            flat.reshape(len(chunk), resample, 2), deslant=True
+        )
+    return out
+
+
+# ----------------------------------------------------------------------
 # Deterministic 100k generation
 # ----------------------------------------------------------------------
 def _corpus_statistics():
@@ -590,5 +700,5 @@ def build_lexicon(
 
 @lru_cache(maxsize=2)
 def default_lexicon(size: int = 100_000) -> Lexicon:
-    """The shared default lexicon (cached — building 100k takes ~2 s)."""
+    """The shared default lexicon (cached — building 100k takes ~5 s)."""
     return build_lexicon(size)

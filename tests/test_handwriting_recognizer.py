@@ -7,6 +7,7 @@ from repro.handwriting.generator import HandwritingGenerator, UserStyle
 from repro.handwriting.recognizer import (
     CharacterRecognizer,
     WordRecognizer,
+    normalize_resampled,
     normalize_trajectory,
 )
 
@@ -51,6 +52,29 @@ class TestNormalize:
         a = normalize_trajectory(points, deslant=True)
         b = normalize_trajectory(sheared, deslant=True)
         assert np.abs(a - b).max() < 0.1
+
+    def test_stack_rows_normalise_on_their_own(self):
+        # Batched template synthesis normalises a (W, R, 2) stack in one
+        # call; each row must come out exactly as a one-row call does,
+        # clipped slant and degenerate heights included.
+        t = np.linspace(0.0, 1.0, 64)
+        rows = np.stack(
+            [
+                np.random.default_rng(3).normal(size=(64, 2)),
+                np.stack([2.0 * t, t], axis=1),  # leans past the clip
+                np.stack([3.0 * t, np.zeros(64)], axis=1),  # flat
+                np.zeros((64, 2)),  # a single point
+            ]
+        )
+        stacked = normalize_resampled(rows, deslant=True)
+        for row, out in zip(rows, stacked):
+            assert np.array_equal(out, normalize_resampled(row, deslant=True))
+        leaning, flat, point = stacked[1:]
+        # Only the clip's 0.35 of the slope 2 is removed.
+        assert np.allclose(leaning[:, 0], 1.65 * leaning[:, 1])
+        # No height: the width normalises instead, and a point stays put.
+        assert np.allclose(flat[:, 0], t - 0.5)
+        assert np.array_equal(point, np.zeros((64, 2)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -123,6 +147,13 @@ class TestWordRecognizer:
         recognizer = WordRecognizer(dictionary=("cat", "dog"))
         trace = HandwritingGenerator().word_trace("cat")
         assert recognizer.classify(trace.points) == "cat"
+
+    def test_custom_dictionary_with_digits(self):
+        # The default font writes digits, so a dictionary may use them.
+        recognizer = WordRecognizer(dictionary=("room101", "42", "cat"))
+        for word in ("room101", "42"):
+            trace = HandwritingGenerator().word_trace(word)
+            assert recognizer.classify(trace.points) == word
 
     def test_empty_dictionary_rejected(self):
         with pytest.raises(ValueError):
