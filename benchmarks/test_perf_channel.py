@@ -4,8 +4,9 @@ Times the two operations PR 2 vectorized — multipath channel synthesis
 across a full deployment, and an end-to-end ``simulate_word`` (whose
 measurement path is dominated by channel synthesis) — against the loop
 reference (``BackscatterChannel`` per-path loops driven one report at a
-time by ``Reader.inventory_reference``), and merges machine-readable
-results into ``BENCH_engine.json`` alongside the voting/tracing entries.
+time by ``tests.oracles.inventory_reference``), and merges
+machine-readable results into ``BENCH_engine.json`` alongside the
+voting/tracing entries.
 
 The asserted floors are deliberately far below the measured speedups
 (≈7× dwell-shaped synthesis, ≈5× simulate_word on the dev box) so noisy
@@ -28,6 +29,7 @@ from repro.rf.channel import BackscatterChannel
 from repro.rf.constants import DEFAULT_WAVELENGTH
 from repro.rf.engine import ChannelBank
 from repro.rfid.reader import Reader
+from tests.oracles import inventory_reference
 
 from bench_io import timed, update_bench
 
@@ -97,7 +99,7 @@ def test_channel_perf_regression():
         )
 
     run_fast, engine_s = timed(fresh_run)
-    with mock.patch.object(Reader, "inventory", Reader.inventory_reference):
+    with mock.patch.object(Reader, "inventory", inventory_reference):
         run_slow, legacy_s = timed(fresh_run)
 
     fast_reports = run_fast.rfidraw_log.reports

@@ -6,8 +6,8 @@ Times the two operations PR 5 vectorized and merges them into
 * ``protocol_round_sweep`` — framed-ALOHA rounds over a tag population
   with an over-provisioned frame (``Q = 8``, the empty-slot-dominated
   regime a Gen2 reader actually spends its air time in), engine vs the
-  per-slot ``InventoryRound.run`` reference. The logs are asserted
-  identical (same successes, clocks, RNG stream).
+  per-slot ``InventoryRound.run`` reference in ``tests/oracles``. The
+  logs are asserted identical (same successes, clocks, RNG stream).
 * ``reconstruct_many_fig11`` — a fig11-shaped batch of words at mixed
   user distances reconstructed through one merged engine block vs the
   per-word loop; trajectories asserted bit-identical.
@@ -25,8 +25,9 @@ from repro.core.pipeline import reconstruct_many
 from repro.experiments.scenarios import ScenarioConfig, WordJob, simulate_words
 from repro.rfid.engine import ProtocolEngine
 from repro.rfid.epc import Epc96
-from repro.rfid.protocol import InventoryRound, QAlgorithm, SlotOutcome
+from repro.rfid.protocol import QAlgorithm, SlotOutcome
 from repro.rfid.tag import PassiveTag
+from tests.oracles import InventoryRound
 
 from bench_io import timed, timed_interleaved, update_bench
 

@@ -36,6 +36,7 @@ from repro.rfid.epc import Epc96
 from repro.rfid.reader import Reader
 from repro.rfid.sampling import MeasurementLog
 from repro.rfid.tag import PassiveTag
+from repro.stream import SessionConfig
 
 
 def main() -> None:
@@ -96,10 +97,12 @@ def main() -> None:
     system = RFIDrawSystem(deployment, plane, config.wavelength)
     manager = SessionManager(
         system,
-        idle_timeout=0.4,
-        sample_rate=config.sample_rate,
-        candidate_count=3,
-        prune_margin=10.0,
+        config=SessionConfig(
+            idle_timeout=0.4,
+            sample_rate=config.sample_rate,
+            candidate_count=3,
+            prune_margin=10.0,
+        ),
     )
     live_counts: dict[str, int] = {}
     manager.on_session_started = lambda event: print(

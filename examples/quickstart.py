@@ -58,12 +58,11 @@ Two families of knobs tune a long-running session:
   so a day-long stream's memory stays bounded.
 
 All of those tunables travel as one frozen value,
-:class:`repro.stream.SessionConfig`, accepted by every tier —
-``SessionManager(system, config=...)``, ``system.open_session(config=
-...)``, ``system.reconstruct_log(log, config=...)`` and the sharded
-``repro.serve.TrackingService`` — so "the production ingest policy" is
-a value you hand around, not a kwarg list to keep in sync. (The old
-loose keyword arguments still work, with a ``DeprecationWarning``.)::
+:class:`repro.stream.SessionConfig`, the only way to set them on every
+tier — ``SessionManager(system, config=...)``, ``system.open_session(
+config=...)``, ``system.reconstruct_log(log, config=...)`` and the
+sharded ``repro.serve.TrackingService`` — so "the production ingest
+policy" is a value you hand around, not a kwarg list to keep in sync::
 
     from repro.stream import SessionConfig
     config = SessionConfig(out_of_order="drop", prune_margin=4.0,
@@ -79,10 +78,11 @@ events returned by ``ingest``/``ingest_burst``/``replay``, and from
 ``TrackingService.events()``'s merged async stream (there in
 ``detached()`` form: ``event.session is None`` across a process
 boundary, while ``epc_hex``/``point``/``result`` travel intact).
-Dispatch on ``isinstance(event, PointEmitted)`` or on the legacy
-``event.type is SessionEventType.POINT`` tag — both name the same
-event. Ordering guarantee: per EPC, events always arrive in lifecycle
-order (``STARTED``, its ``POINT`` s, then ``FINALIZED``/``EVICTED``);
+Dispatch on ``isinstance(event, PointEmitted)`` or on
+``event.type is SessionEventType.POINT`` — ``type`` is each subclass's
+class constant, so both name the same event. Ordering guarantee: per
+EPC, events always arrive in lifecycle order (``STARTED``, its
+``POINT`` s, then ``FINALIZED``/``EVICTED``);
 cross-EPC interleaving follows report order on a single manager and
 shard-arrival order on the service (see ``examples/tracking_service.py``).
 

@@ -130,9 +130,12 @@ class RFIDrawSystem:
             A :class:`ReconstructionResult` with the chosen trajectory and
             all per-candidate diagnostics.
         """
+        from repro.stream.config import SessionConfig
         from repro.stream.session import TrackingSession
 
-        session = TrackingSession(self, candidate_count=candidate_count)
+        session = TrackingSession(
+            self, config=SessionConfig(candidate_count=candidate_count)
+        )
         session.ingest_series(series)
         return session.finalize()
 
@@ -140,10 +143,8 @@ class RFIDrawSystem:
         self,
         log,
         epc_hex: str | None = None,
-        sample_rate: float | None = None,
-        candidate_count: int | None = None,
+        *,
         config=None,
-        **session_kwargs,
     ) -> ReconstructionResult:
         """Reconstruct straight from a raw measurement log.
 
@@ -154,57 +155,37 @@ class RFIDrawSystem:
         :meth:`reconstruct`, without the intermediate structure.
 
         Pass the session policy as ``config``
-        (:class:`repro.stream.SessionConfig`) — notably
-        ``prune_margin``/``prune_burn_in`` (drop hopeless trace
+        (:class:`repro.stream.SessionConfig`, default ``SessionConfig()``)
+        — notably ``prune_margin``/``prune_burn_in`` (drop hopeless trace
         candidates mid-stream; the chosen trajectory is provably still
         the batch one, see :meth:`repro.core.engine.BatchedTracer.begin`)
         and ``out_of_order="drop"`` (survive stale or non-finite reports
-        from a flaky reader). The old loose keyword arguments
-        (``sample_rate=``, ``candidate_count=``, ``**session_kwargs``)
-        keep working behind a :class:`DeprecationWarning`.
+        from a flaky reader).
         """
         from repro.rfid.sampling import MeasurementLog
-        from repro.stream.config import fold_legacy_kwargs
 
-        legacy = dict(session_kwargs)
-        if sample_rate is not None:
-            legacy["sample_rate"] = sample_rate
-        if candidate_count is not None:
-            legacy["candidate_count"] = candidate_count
-        # Fold here, not in open_session, so a DeprecationWarning names
-        # the caller of reconstruct_log.
-        config, passthrough = fold_legacy_kwargs(
-            config, legacy, "RFIDrawSystem.reconstruct_log"
-        )
-        session = self.open_session(
-            epc_hex=epc_hex, config=config, **passthrough
-        )
+        session = self.open_session(epc_hex=epc_hex, config=config)
         reports = log.reports if isinstance(log, MeasurementLog) else log
         session.extend(reports)
         return session.finalize()
 
-    def open_session(self, config=None, **kwargs):
+    def open_session(
+        self, config=None, *, epc_hex: str | None = None, pairs=None
+    ):
         """A fresh :class:`repro.stream.session.TrackingSession` over
         this system's deployment, positioner and tracer.
 
         Pass the tunables as ``config``
-        (:class:`repro.stream.SessionConfig`) — ``prune_margin`` /
-        ``prune_burn_in`` tune steady-state candidate pruning,
-        ``out_of_order`` the dirty-input policy, ``retain_reports=False``
-        bounds memory on healthy streams. ``epc_hex=`` / ``pairs=``
-        (per-session identity, not policy) stay keyword arguments. The
-        old loose tunable keywords keep working behind a
-        :class:`DeprecationWarning`; the manager-level fields of a given
-        config (``idle_timeout`` etc.) are ignored here."""
-        from repro.stream.config import fold_legacy_kwargs
+        (:class:`repro.stream.SessionConfig`, default ``SessionConfig()``)
+        — ``prune_margin`` / ``prune_burn_in`` tune steady-state
+        candidate pruning, ``out_of_order`` the dirty-input policy,
+        ``retain_reports=False`` bounds memory on healthy streams; the
+        manager-level fields (``idle_timeout`` etc.) are ignored here.
+        ``epc_hex=`` / ``pairs=`` are the session's identity, not
+        policy (see :class:`~repro.stream.session.TrackingSession`)."""
         from repro.stream.session import TrackingSession
 
-        config, passthrough = fold_legacy_kwargs(
-            config, kwargs, "RFIDrawSystem.open_session"
-        )
-        return TrackingSession(
-            self, **config.session_kwargs(), **passthrough
-        )
+        return TrackingSession(self, epc_hex=epc_hex, pairs=pairs, config=config)
 
     def reconstruct_many(
         self,
@@ -272,11 +253,13 @@ def reconstruct_many(
     Returns:
         One :class:`ReconstructionResult` per item, in item order.
     """
+    from repro.stream.config import SessionConfig
     from repro.stream.session import TrackingSession, step_sessions
 
+    config = SessionConfig(candidate_count=candidate_count)
     queues = []
     for system, series in items:
-        session = TrackingSession(system, candidate_count=candidate_count)
+        session = TrackingSession(system, config=config)
         queues.append((session, session._prepare_series(list(series))))
     for _ in step_sessions(queues):
         pass

@@ -1,20 +1,20 @@
 """Vectorized Gen2 protocol engine.
 
-:class:`~repro.rfid.protocol.InventoryRound` walks every one of a
-frame's ``2^Q`` slots in a Python loop, materialising a
+The executable specification of a Gen2 round, the reference round in
+``tests/oracles/inventory.py``, walks every one of a frame's ``2^Q``
+slots in a Python loop, materialising a
 :class:`~repro.rfid.protocol.SlotResult` per slot and feeding the
-Q-algorithm one outcome at a time. That is the right executable
-specification, but inventory is *mostly empty slots* — a reader spends
-its air time issuing QueryReps into silence — so the per-slot Python
-work dominated ``simulate_word`` once the channel synthesis was
-vectorized (PR 2).
+Q-algorithm one outcome at a time. Inventory is *mostly empty slots* —
+a reader spends its air time issuing QueryReps into silence — so that
+per-slot Python work dominated ``simulate_word`` once the channel
+synthesis was vectorized.
 
 :class:`ProtocolEngine` classifies a whole round in one pass:
 
 * **Per-tag draws stay at the reference RNG points.** The reply draw
   (``rng.random()`` for every powered tag) and the slot draw
   (``rng.integers`` for every replying tag) happen tag by tag in list
-  order, exactly where :meth:`InventoryRound.run` makes them — the two
+  order, exactly where the reference round makes them — the two
   implementations consume the RNG identically, so every downstream
   protocol field matches bit for bit for the same seed.
 * **Slot classification is one ``np.bincount``.** Counting the drawn
@@ -37,9 +37,9 @@ vectorized (PR 2).
 Frames small enough that numpy dispatch would cost more than it saves
 (the steady state of a well-adapted single-tag inventory is a one-slot
 frame) take a plain-Python path that is the reference loop minus the
-per-slot object churn. Both paths are cross-checked against
-``InventoryRound.run`` — same successes, same clocks, same ``q_float``,
-same RNG state — in ``tests/test_rfid_protocol.py``.
+per-slot object churn. Both paths are cross-checked against the
+reference round — same successes, same clocks, same ``q_float``, same
+RNG state — in ``tests/test_rfid_protocol.py``.
 """
 
 from __future__ import annotations
@@ -96,11 +96,11 @@ class ProtocolEngine:
     ) -> tuple[list[SlotResult], float]:
         """One framed-ALOHA round; returns (success slots, end time).
 
-        Equivalent to :meth:`repro.rfid.protocol.InventoryRound.run`
-        over the same tags — same RNG consumption, bit-identical success
-        ``SlotResult``\\ s (times included), end clock and Q-algorithm
-        state — except that empty and collision slots are never
-        materialised.
+        Equivalent to the reference round's ``run``
+        (``tests/oracles/inventory.py``) over the same tags — same RNG
+        consumption, bit-identical success ``SlotResult``\\ s (times
+        included), end clock and Q-algorithm state — except that empty
+        and collision slots are never materialised.
 
         Args:
             powers_dbm: ``(len(tags),)`` per-tag incident power from the
@@ -119,7 +119,7 @@ class ProtocolEngine:
 
         # Per-tag draws at the exact reference RNG points: one
         # ``random()`` per powered tag (the short-circuit skips the draw
-        # for unpowered tags, like ``PassiveTag.replies``), one
+        # for unpowered tags, like the reference round), one
         # ``integers()`` per reply.
         random = rng.random
         integers = rng.integers

@@ -18,11 +18,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.rfid.tag import PassiveTag
 
-__all__ = ["SlotOutcome", "SlotResult", "InventoryRound", "QAlgorithm"]
+__all__ = ["SlotOutcome", "SlotResult", "QAlgorithm"]
 
 
 class SlotOutcome(enum.Enum):
@@ -108,73 +106,3 @@ class QAlgorithm:
                     return
                 self.q_float = nxt
                 count -= 1
-
-
-@dataclass
-class InventoryRound:
-    """One framed-ALOHA inventory round over the powered tags.
-
-    Args:
-        q: the frame exponent; the frame has ``2^q`` slots.
-        rng: randomness source (slot draws, reply losses).
-    """
-
-    q: int
-    rng: np.random.Generator
-
-    def run(
-        self,
-        tags: list[PassiveTag],
-        incident_power_dbm: dict[int, float],
-        start_time: float,
-        q_algorithm: QAlgorithm | None = None,
-    ) -> tuple[list[SlotResult], float]:
-        """Simulate the round; returns (slot results, end time).
-
-        Args:
-            tags: candidate tags (with their EPC serial as the key into
-                ``incident_power_dbm``).
-            incident_power_dbm: per-tag incident power from the currently
-                active antenna — decides which tags are awake at all.
-            start_time: air-time clock at the start of the round.
-            q_algorithm: optional adaptive Q state to update per slot.
-        """
-        if self.q < 0 or self.q > 15:
-            raise ValueError("Q must be within [0, 15]")
-        slot_count = 1 << self.q
-
-        # Every powered tag that decodes the Query draws a slot.
-        participants: list[tuple[PassiveTag, int]] = []
-        for tag in tags:
-            power = incident_power_dbm.get(tag.epc.serial, -np.inf)
-            if tag.replies(power, self.rng):
-                slot = int(self.rng.integers(0, slot_count))
-                participants.append((tag, slot))
-
-        by_slot: dict[int, list[PassiveTag]] = {}
-        for tag, slot in participants:
-            by_slot.setdefault(slot, []).append(tag)
-
-        results: list[SlotResult] = []
-        clock = start_time
-        for slot_index in range(slot_count):
-            tags_here = by_slot.get(slot_index, [])
-            if not tags_here:
-                outcome, tag, duration = SlotOutcome.EMPTY, None, EMPTY_SLOT_S
-            elif len(tags_here) == 1:
-                outcome, tag, duration = (
-                    SlotOutcome.SUCCESS,
-                    tags_here[0],
-                    SUCCESS_SLOT_S,
-                )
-            else:
-                outcome, tag, duration = (
-                    SlotOutcome.COLLISION,
-                    None,
-                    COLLISION_SLOT_S,
-                )
-            results.append(SlotResult(slot_index, outcome, tag, clock, duration))
-            clock += duration
-            if q_algorithm is not None:
-                q_algorithm.record(outcome)
-        return results, clock

@@ -28,7 +28,7 @@ from repro.rf.channel import BackscatterChannel
 from repro.rf.engine import ChannelBank
 from repro.rf.noise import PhaseNoiseModel
 from repro.rfid.engine import ProtocolEngine
-from repro.rfid.protocol import InventoryRound, QAlgorithm, SlotOutcome
+from repro.rfid.protocol import QAlgorithm
 from repro.rfid.tag import PassiveTag
 
 __all__ = ["PhaseReport", "Reader"]
@@ -125,7 +125,8 @@ class Reader:
         kernel when a single tag moves, and falls back to one batched
         call otherwise; phase and RSSI are synthesized once per *dwell*.
         Protocol draws and per-report noise draws happen at the exact
-        RNG points :meth:`inventory_reference` consumes them, so both
+        RNG points the per-report reference
+        (``tests/oracles/inventory.py``) consumes them, so both
         implementations produce matching logs for the same seed
         (``tests/test_rfid_reader.py`` cross-checks this).
 
@@ -317,80 +318,3 @@ class Reader:
                 for t in times
             ]
         )
-
-    def inventory_reference(
-        self,
-        tags: list[PassiveTag],
-        duration: float,
-        rng: np.random.Generator,
-        start_time: float = 0.0,
-        position_at: PositionsAt | None = None,
-    ) -> list[PhaseReport]:
-        """The per-report reference implementation (executable spec).
-
-        Synthesizes one report at a time through the loop-based
-        :class:`~repro.rf.channel.BackscatterChannel` — the seed
-        behaviour, kept for cross-checking :meth:`inventory` (same RNG
-        stream, matching logs for the same seed).
-        """
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-
-        def locate(tag: PassiveTag, when: float) -> np.ndarray:
-            if position_at is None:
-                return tag.position
-            return np.asarray(position_at(tag.epc.serial, when), dtype=float)
-
-        reports: list[PhaseReport] = []
-        q_algo = QAlgorithm(q_float=float(self.initial_q))
-        clock = start_time
-        end_time = start_time + duration
-        port = 0
-
-        while clock < end_time:
-            antenna = self.antennas[port % len(self.antennas)]
-            dwell_end = min(clock + self.dwell_time, end_time)
-            while clock < dwell_end:
-                # Powering: evaluated at the start of the round; tags move
-                # slowly relative to a ~10 ms round.
-                incident = {
-                    tag.epc.serial: float(
-                        self.channel.tag_incident_power_dbm(
-                            antenna.position, locate(tag, clock)
-                        )
-                    )
-                    for tag in tags
-                }
-                round_ = InventoryRound(q_algo.q, rng)
-                slots, clock = round_.run(tags, incident, clock, q_algo)
-                for slot in slots:
-                    if slot.outcome is not SlotOutcome.SUCCESS or slot.tag is None:
-                        continue
-                    reply_time = slot.time + slot.duration
-                    if reply_time > dwell_end:
-                        continue  # reply straddles the port switch; dropped
-                    position = locate(slot.tag, reply_time)
-                    clean_phase = float(
-                        self.channel.phase_at(antenna.position, position)
-                    )
-                    phase = self.noise.corrupt_phase(
-                        clean_phase + slot.tag.modulation_phase + self.lo_offset,
-                        rng,
-                    )
-                    rssi = float(
-                        self.noise.corrupt_rssi(
-                            self.channel.rssi_dbm(antenna.position, position), rng
-                        )
-                    )
-                    reports.append(
-                        PhaseReport(
-                            time=reply_time,
-                            epc_hex=slot.tag.epc.to_hex(),
-                            reader_id=self.reader_id,
-                            antenna_id=antenna.antenna_id,
-                            phase=float(phase),
-                            rssi_dbm=rssi,
-                        )
-                    )
-            port += 1
-        return reports

@@ -61,12 +61,6 @@ class PassiveTag:
         """Whether the harvested power suffices to wake the chip."""
         return incident_power_dbm >= self.sensitivity_dbm
 
-    def replies(self, incident_power_dbm: float, rng: np.random.Generator) -> bool:
-        """Whether the tag actually answers a query slot right now."""
-        if not self.is_powered(incident_power_dbm):
-            return False
-        return bool(rng.random() < self.reply_probability)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         x, y, z = self.position
         return f"PassiveTag({self.epc.to_hex()[:8]}…, pos=({x:.2f},{y:.2f},{z:.2f}))"

@@ -4,8 +4,10 @@
 tags writing concurrently on one virtual touch screen, sessions opening
 and closing as users come and go — as a deterministic, geometry-exact
 report stream: each tag moves on its own small circular stroke, every
-antenna reports the true round-trip phase (no noise, so reconstructions
-are well-conditioned and runs are reproducible bit for bit), and tag
+antenna reports the true phase of its distance to the tag
+(:func:`repro.rf.phase.phase_from_distance`, the convention the whole
+system decodes; no noise, so reconstructions are well-conditioned and
+runs are reproducible bit for bit), and tag
 start times stagger so the open-session population ramps and overlaps
 the way a day-long trace does, compressed into seconds.
 
@@ -21,6 +23,7 @@ import numpy as np
 from repro.core.pipeline import RFIDrawSystem
 from repro.geometry.layouts import rfidraw_layout
 from repro.geometry.plane import writing_plane
+from repro.rf.phase import phase_from_distance
 from repro.rfid.reader import PhaseReport
 
 __all__ = ["fleet_system", "synthetic_fleet"]
@@ -80,7 +83,9 @@ def synthetic_fleet(
             world = plane.to_world(np.array([[u, v]]))[0]
             for antenna in system.deployment:
                 distance = antenna.distance_to(world[None, :])[0]
-                phase = (4.0 * np.pi * distance / wavelength) % (2.0 * np.pi)
+                phase = phase_from_distance(
+                    distance, wavelength, system.round_trip
+                )
                 reports.append(
                     PhaseReport(
                         time=float(t + 1e-4 * antenna.antenna_id),

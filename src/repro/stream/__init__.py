@@ -26,7 +26,7 @@ this subsystem (feed everything, finalize), so streaming and batch can
 never drift apart.
 """
 
-from repro.stream.config import SessionConfig, fold_legacy_kwargs
+from repro.stream.config import SessionConfig
 from repro.stream.manager import (
     ManagerStats,
     PointEmitted,
@@ -57,5 +57,4 @@ __all__ = [
     "StreamResampler",
     "TrackingSession",
     "TrajectoryPoint",
-    "fold_legacy_kwargs",
 ]

@@ -1,14 +1,10 @@
 """One session-config surface for every tier of the tracking stack.
 
-Before this existed, the same tunables were spelled as loose keyword
-arguments in three places — ``TrackingSession(...)`` /
-``SessionManager(..., **session_kwargs)``, ``RFIDrawSystem.open_session``
-and ``RFIDrawSystem.reconstruct_log`` — which meant three slightly
-different defaults to keep in sync and no way to hand "the production
-ingest policy" around as a value. :class:`SessionConfig` folds them into
-one frozen, validated dataclass accepted by all three tiers (and by the
-sharded :class:`repro.serve.TrackingService`, which must ship the exact
-same policy to every worker process):
+:class:`SessionConfig` is the only way to pass a tracking-session or
+session-manager tunable. It is one frozen, validated value, so "the
+production ingest policy" can be handed around, compared and shipped to
+the worker processes of the sharded :class:`repro.serve.TrackingService`
+unchanged. Every tier takes it as ``config=``:
 
     config = SessionConfig(out_of_order="drop", prune_margin=4.0,
                            idle_timeout=30.0, retain_results=256)
@@ -16,51 +12,50 @@ same policy to every worker process):
     session = system.open_session(config=config)
     result = system.reconstruct_log(log, config=config)
 
-The old keyword arguments keep working through a deprecation shim
-(:func:`fold_legacy_kwargs`) so existing callers migrate on their own
-schedule; passing both a config and legacy keywords is an error rather
-than a silent merge.
+A session reads the per-session fields and ignores the manager-level
+ones (``idle_timeout``, ``max_sessions``, ``retain_results``). A tag's
+identity (``epc_hex=``, ``pairs=``) is not policy and stays a keyword
+argument of the session constructors.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
-__all__ = ["SessionConfig", "CONFIG_FIELDS", "fold_legacy_kwargs"]
-
-#: Fields forwarded to the ``TrackingSession`` constructor (the rest are
-#: manager-level policy the session never sees).
-_SESSION_FIELDS = (
-    "sample_rate",
-    "min_reads_per_antenna",
-    "candidate_count",
-    "out_of_order",
-    "retain_reports",
-    "prune_margin",
-    "prune_burn_in",
-)
-_MANAGER_FIELDS = ("idle_timeout", "max_sessions", "retain_results")
+__all__ = ["SessionConfig"]
 
 
 @dataclass(frozen=True)
 class SessionConfig:
     """Every tracking-session and manager tunable, as one frozen value.
 
-    Per-session knobs (see :class:`repro.stream.session.TrackingSession`
-    for the full semantics of each):
+    Per-session knobs, read by
+    :class:`repro.stream.session.TrackingSession`:
 
     Attributes:
         sample_rate: shared resample timeline rate in Hz.
         min_reads_per_antenna: the batch dead-antenna threshold.
         candidate_count: how many initial candidates to trace (``None``:
             the positioner's configured count).
-        out_of_order: ``"raise"`` (strict) or ``"drop"`` (robust ingest:
-            stale arrivals and non-finite phases are counted + skipped).
-        retain_reports: keep raw reports for the degenerate-stream batch
-            fallback; disable for bounded memory on healthy streams.
-        prune_margin: steady-state candidate pruning margin (``None``
-            disables pruning; any positive value is winner-preserving).
+        out_of_order: per-antenna timestamp policy, see
+            :class:`~repro.stream.resampler.StreamResampler`:
+            ``"raise"`` (strict) or ``"drop"`` (robust ingest: stale
+            arrivals and non-finite phases from a flaky reader are
+            counted in the resampler's ``dropped_reports`` and skipped
+            instead of killing the session).
+        retain_reports: keep raw reports so degenerate streams can fall
+            back to the batch builder at finalize. Disable for bounded
+            memory on healthy long-running streams.
+        prune_margin: steady-state cost knob — drop trace candidates
+            whose running vote sum trails the leader's by more than this
+            margin, shrinking the per-step batched solve. Safe for any
+            positive value: the engine resumes a dropped candidate at
+            finalize whenever its frozen sum does not already prove it a
+            loser (see :meth:`repro.core.engine.BatchedTracer.begin`),
+            so the chosen trajectory is always identical to the
+            unpruned batch answer; only the per-candidate diagnostics of
+            certified losers are omitted from the result. ``None``
+            (default) disables pruning.
         prune_burn_in: steps before pruning may begin.
 
     Manager/service-level policy (see
@@ -72,6 +67,9 @@ class SessionConfig:
         max_sessions: cap on concurrently open sessions (LRU eviction;
             per shard when used with :class:`repro.serve.TrackingService`).
         retain_results: cap on retained closed-session history.
+
+    Invalid values raise :class:`ValueError` here, at construction, so a
+    bad knob fails before any stream starts rather than mid-stream.
     """
 
     sample_rate: float = 20.0
@@ -105,57 +103,6 @@ class SessionConfig:
         if self.retain_results is not None and self.retain_results < 0:
             raise ValueError("retain_results must be non-negative")
 
-    def session_kwargs(self) -> dict:
-        """The per-session subset, as ``TrackingSession`` keywords."""
-        return {name: getattr(self, name) for name in _SESSION_FIELDS}
-
     def with_updates(self, **changes) -> "SessionConfig":
         """A copy with the given fields replaced (re-validated)."""
         return replace(self, **changes)
-
-
-#: Every :class:`SessionConfig` field name — facades that accept mixed
-#: keyword arguments use this to split tunables from passthrough keys.
-CONFIG_FIELDS = frozenset(f.name for f in fields(SessionConfig))
-
-
-def fold_legacy_kwargs(
-    config: SessionConfig | None,
-    legacy: dict,
-    owner: str,
-) -> tuple[SessionConfig, dict]:
-    """Resolve ``config=`` vs. old-style keyword arguments.
-
-    Args:
-        config: the explicit :class:`SessionConfig`, if any.
-        legacy: keyword arguments the caller passed the old way; known
-            :class:`SessionConfig` fields are folded into the returned
-            config (with a :class:`DeprecationWarning`), unknown keys
-            are returned untouched for the callee to forward (e.g.
-            ``pairs=`` / ``epc_hex=`` on a session constructor).
-        owner: the API being called, for the warning/error text.
-
-    Returns:
-        ``(effective_config, passthrough_kwargs)``.
-
-    Raises:
-        ValueError: both a config and legacy tunables were given — an
-            ambiguous merge this shim refuses to guess about.
-    """
-    tunables = {k: v for k, v in legacy.items() if k in CONFIG_FIELDS}
-    passthrough = {k: v for k, v in legacy.items() if k not in CONFIG_FIELDS}
-    if not tunables:
-        return config if config is not None else SessionConfig(), passthrough
-    if config is not None:
-        raise ValueError(
-            f"{owner}: pass tunables inside config=SessionConfig(...), "
-            "not alongside it (got both config= and "
-            + ", ".join(sorted(tunables)) + ")"
-        )
-    warnings.warn(
-        f"{owner}: passing {', '.join(sorted(tunables))} as loose keyword "
-        "arguments is deprecated; pass config=SessionConfig(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return SessionConfig(**tunables), passthrough

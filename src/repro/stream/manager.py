@@ -20,7 +20,7 @@ the manager by streaming the *file* lazily
 the offline test harness for the streaming stack and the migration path
 for existing recorded sessions. (The sessions themselves still
 accumulate per-antenna and per-step history for ``finalize()``, plus the
-raw reports unless constructed with ``retain_reports=False``; a
+raw reports unless the config sets ``retain_reports=False``; a
 ``retain_results`` cap makes each session release those buffers the
 moment it finalizes and sheds the oldest finalized sessions entirely,
 so even an unbounded replay holds bounded memory.)
@@ -40,12 +40,12 @@ import dataclasses
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
 from repro.core.pipeline import ReconstructionResult, RFIDrawSystem
-from repro.stream.config import SessionConfig, fold_legacy_kwargs
+from repro.stream.config import SessionConfig
 from repro.rfid.reader import PhaseReport
 from repro.stream.session import (
     TrackingSession,
@@ -82,16 +82,17 @@ class SessionEvent:
     Every event the manager fires is one of the four frozen subclasses
     below — :class:`SessionStarted`, :class:`PointEmitted`,
     :class:`SessionFinalized`, :class:`SessionEvicted` — so consumers
-    may dispatch on ``isinstance`` instead of :attr:`type`; the
-    :attr:`type` tag stays for existing code and for wire-format
-    symmetry. The same union flows through ``SessionManager`` callbacks,
+    may dispatch on ``isinstance``; each subclass also carries its
+    lifecycle edge as the class constant :attr:`type`. The same union
+    flows through ``SessionManager`` callbacks,
     :meth:`SessionManager.replay`, and the sharded
     :class:`repro.serve.TrackingService`'s merged event stream
     (there in :meth:`detached` form, since sessions live in the worker
     process).
 
     Attributes:
-        type: which lifecycle edge fired.
+        type: which lifecycle edge fired (a class constant of each
+            subclass, not a field).
         epc_hex: the tag.
         session: the session the event belongs to (``None`` on events
             shipped across a process boundary — see :meth:`detached`).
@@ -105,7 +106,8 @@ class SessionEvent:
             :class:`repro.lexicon.recognizer.RecognitionResult`.
     """
 
-    type: SessionEventType
+    type: ClassVar[SessionEventType]
+
     epc_hex: str
     session: TrackingSession | None
     point: TrajectoryPoint | None = None
@@ -120,59 +122,32 @@ class SessionEvent:
         buffers, trace state, a reference to the whole system) does not
         belong on one.
         """
-        if type(self) is SessionEvent:
-            return dataclasses.replace(self, session=None)
-        return type(self)(
-            epc_hex=self.epc_hex,
-            session=None,
-            point=self.point,
-            result=self.result,
-            recognition=self.recognition,
-        )
+        return dataclasses.replace(self, session=None)
 
 
-class _TypedSessionEvent(SessionEvent):
-    """Shared constructor for the typed subclasses: the lifecycle tag is
-    fixed per class, so callers never repeat it."""
-
-    _TYPE: SessionEventType
-
-    def __init__(
-        self,
-        epc_hex: str,
-        session: TrackingSession | None,
-        point: TrajectoryPoint | None = None,
-        result: ReconstructionResult | None = None,
-        recognition: object | None = None,
-    ) -> None:
-        super().__init__(
-            self._TYPE, epc_hex, session, point, result, recognition
-        )
-
-
-class SessionStarted(_TypedSessionEvent):
+class SessionStarted(SessionEvent):
     """A newly seen EPC opened a session."""
 
-    _TYPE = SessionEventType.STARTED
+    type = SessionEventType.STARTED
 
 
-class PointEmitted(_TypedSessionEvent):
+class PointEmitted(SessionEvent):
     """A session emitted one live :class:`TrajectoryPoint`."""
 
-    _TYPE = SessionEventType.POINT
+    type = SessionEventType.POINT
 
 
-class SessionFinalized(_TypedSessionEvent):
+class SessionFinalized(SessionEvent):
     """A session closed with a :class:`ReconstructionResult`."""
 
-    _TYPE = SessionEventType.FINALIZED
+    type = SessionEventType.FINALIZED
 
 
-class SessionEvicted(_TypedSessionEvent):
+class SessionEvicted(SessionEvent):
     """The eviction policy closed a session (after its ``FINALIZED``
     event when the finalize succeeded; ``result=None`` when it failed)."""
 
-    _TYPE = SessionEventType.EVICTED
+    type = SessionEventType.EVICTED
 
 
 @dataclass(frozen=True)
@@ -311,43 +286,51 @@ class ReplayResult(dict):
 class SessionManager:
     """Routes a merged multi-tag report stream to per-tag sessions.
 
+    Every tag's session is a
+    :class:`~repro.stream.session.TrackingSession` built from the one
+    :attr:`config`.
+
     Args:
         system: the pipeline facade shared by every session (one
             deployment/positioner/tracer serves all tags).
-        session_factory: builds the session for a newly seen EPC;
-            defaults to ``TrackingSession(system, epc_hex=epc,
-            **session_kwargs)``. Use it to give different tags different
-            tunables.
-        idle_timeout: eviction policy, keyed on *report* time (not wall
-            clock, so recorded replays behave like live streams): a tag
-            whose last report is more than this many seconds behind the
-            newest report seen by the manager is auto-finalized — its
-            ``FINALIZED`` event fires, then an ``EVICTED`` event. A
-            day-long merged stream therefore holds bounded open-session
-            state no matter how many tags come and go. ``None``
-            (default) keeps sessions open until finalized explicitly.
-        max_sessions: optional hard cap on concurrently *open* sessions;
-            when a new EPC would exceed it, the open session with the
-            oldest last report is evicted first. ``None`` = unbounded.
-        retain_results: optional cap on *closed* session history.
-            ``None`` (default) keeps every session forever — fine for a
-            gesture, unbounded on a day-long stream. With a cap, each
-            session releases its resampler/trace/report buffers the
-            moment it finalizes (:meth:`TrackingSession.release`; its
-            result and points stay readable), and once more than
-            ``retain_results`` closed sessions accumulate the oldest
-            are shed from the manager entirely — ghost sessions whose
-            eviction finalize failed included, along with their
-            :attr:`failures`/:attr:`evicted_epcs` bookkeeping, so the
-            manager's state stays bounded no matter how many tags (or
-            noise EPCs) a stream carries. Shed results must have been
-            consumed through the ``FINALIZED`` event or the
-            :meth:`replay` return value (which taps that event);
-            :meth:`finalize_all` only covers sessions still held. A
-            shed tag that starts replying again begins a *fresh*
-            session (a new gesture) rather than counting as a
-            straggler.
-        **session_kwargs: forwarded to the default factory.
+        config: the session policy every tag's session runs with, plus
+            the manager's own eviction and retention policy (see
+            :class:`~repro.stream.config.SessionConfig`; ``None`` means
+            ``SessionConfig()``):
+
+            * ``idle_timeout`` is keyed on *report* time (not wall
+              clock, so recorded replays behave like live streams): a
+              tag whose last report is more than this many seconds
+              behind the newest report seen by the manager is
+              auto-finalized — its ``FINALIZED`` event fires, then an
+              ``EVICTED`` event. A day-long merged stream therefore
+              holds bounded open-session state no matter how many tags
+              come and go. ``None`` keeps sessions open until finalized
+              explicitly.
+            * ``max_sessions`` caps concurrently *open* sessions; when a
+              new EPC would exceed it, the open session with the oldest
+              last report is evicted first.
+            * ``retain_results`` caps *closed* session history. ``None``
+              keeps every session forever — fine for a gesture,
+              unbounded on a day-long stream. With a cap, each session
+              releases its resampler/trace/report buffers the moment
+              it finalizes (:meth:`TrackingSession.release`; its
+              result and points stay readable), and once more than
+              ``retain_results`` closed sessions accumulate the oldest
+              are shed from the manager entirely — ghost sessions whose
+              eviction finalize failed included, along with their
+              :attr:`failures`/:attr:`evicted_epcs` bookkeeping, so the
+              manager's state stays bounded no matter how many tags (or
+              noise EPCs) a stream carries. Shed results must have been
+              consumed through the ``FINALIZED`` event or the
+              :meth:`replay` return value (which taps that event);
+              :meth:`finalize_all` only covers sessions still held. A
+              shed tag that starts replying again begins a *fresh*
+              session (a new gesture) rather than counting as a
+              straggler.
+        recognizer: optional word recogniser; every successful finalize
+            classifies the trajectory and attaches the word to the
+            ``FINALIZED`` event.
 
     Attributes:
         on_session_started / on_point / on_session_finalized /
@@ -363,15 +346,11 @@ class SessionManager:
     def __init__(
         self,
         system: RFIDrawSystem,
-        session_factory: Callable[[str], TrackingSession] | None = None,
         config: SessionConfig | None = None,
-        idle_timeout: float | None = None,
-        max_sessions: int | None = None,
-        retain_results: int | None = None,
         recognizer=None,
-        **session_kwargs,
     ) -> None:
         self.system = system
+        self.config = config if config is not None else SessionConfig()
         # Optional word recogniser (e.g. ``WordRecognizer`` or
         # ``repro.lexicon.LexiconRecognizer``): every successful
         # finalize classifies the trajectory, attaches the
@@ -384,37 +363,6 @@ class SessionManager:
         self.recognition_errors = 0
         self.dtw_evals = 0
         self.shortlist_hist: dict[str, int] = {}
-        legacy = dict(session_kwargs)
-        for name, value in (
-            ("idle_timeout", idle_timeout),
-            ("max_sessions", max_sessions),
-            ("retain_results", retain_results),
-        ):
-            if value is not None:
-                legacy[name] = value
-        config, passthrough = fold_legacy_kwargs(
-            config, legacy, "SessionManager"
-        )
-        if session_factory is None:
-            def session_factory(epc_hex: str) -> TrackingSession:
-                return TrackingSession(
-                    system,
-                    epc_hex=epc_hex,
-                    **self.config.session_kwargs(),
-                    **passthrough,
-                )
-        elif session_kwargs or config.session_kwargs() != (
-            SessionConfig().session_kwargs()
-        ):
-            raise ValueError(
-                "pass tunables through the custom session_factory, "
-                "not alongside it"
-            )
-        self.config = config
-        self.session_factory = session_factory
-        self.idle_timeout = config.idle_timeout
-        self.max_sessions = config.max_sessions
-        self.retain_results = config.retain_results
         # Closed EPCs (finalized, or ghost-evicted with a failed
         # finalize) in close order — the shed queue when a
         # retain_results cap is set.
@@ -458,7 +406,9 @@ class SessionManager:
         """The session of a tag, creating (and announcing) it if new."""
         session = self.sessions.get(epc_hex)
         if session is None:
-            session = self.session_factory(epc_hex)
+            session = TrackingSession(
+                self.system, epc_hex=epc_hex, config=self.config
+            )
             self.sessions[epc_hex] = session
             self._open[epc_hex] = None
             self._fire(
@@ -498,8 +448,8 @@ class SessionManager:
         :func:`repro.stream.session.step_sessions` in aligned rounds
         where every warm session's next sample joins a single
         ``(Σtags·C, 2)`` :meth:`repro.core.engine.BatchedTracer.step_many`
-        solve (grouped by merge key, so heterogeneous session factories
-        still work). With many concurrently warm tags this amortizes
+        solve (grouped by :attr:`repro.core.engine.TraceState.merge_key`).
+        With many concurrently warm tags this amortizes
         the per-step numpy dispatch across the whole fleet — the hot
         loop of the sharded :class:`repro.serve.TrackingService`.
 
@@ -547,11 +497,12 @@ class SessionManager:
         (:meth:`_flush`), so its history is complete before finalize.
         """
         self.ingested_reports += 1
-        if self.idle_timeout is not None and report.time > self._frontier:
+        idle_timeout = self.config.idle_timeout
+        if idle_timeout is not None and report.time > self._frontier:
             # Only an advancing frontier can make a session newly stale,
             # so the sweep is skipped for same-or-older timestamps.
             self._frontier = report.time
-            cutoff = self._frontier - self.idle_timeout
+            cutoff = self._frontier - idle_timeout
             stale = [
                 epc
                 for epc in self.open_epcs()
@@ -564,9 +515,10 @@ class SessionManager:
         epc = report.epc_hex
         session = self.sessions.get(epc)
         if session is None:
-            while self.max_sessions is not None:
+            max_sessions = self.config.max_sessions
+            while max_sessions is not None:
                 open_epcs = self.open_epcs()
-                if len(open_epcs) < self.max_sessions:
+                if len(open_epcs) < max_sessions:
                     break
                 oldest = min(
                     open_epcs,
@@ -655,7 +607,7 @@ class SessionManager:
             result = self.finalize(epc_hex)
         except Exception as error:
             self.failures[epc_hex] = error
-            if self.retain_results is not None:
+            if self.config.retain_results is not None:
                 # The ghost is closed for good (its reports will count
                 # as stragglers), so it joins the shed queue like a
                 # finalized session — one dead EPC per noise burst must
@@ -697,7 +649,7 @@ class SessionManager:
                     epc_hex, session, result=result, recognition=recognition
                 ),
             )
-            if self.retain_results is not None:
+            if self.config.retain_results is not None:
                 session.release()
                 # Membership check (O(cap), the deque never exceeds it):
                 # a ghost that joined the queue at eviction and later
@@ -735,7 +687,8 @@ class SessionManager:
 
     def _shed_closed(self) -> None:
         """Drop the oldest closed sessions beyond the retention cap."""
-        while len(self._closed_order) > self.retain_results:
+        cap = self.config.retain_results
+        while len(self._closed_order) > cap:
             epc = self._closed_order.popleft()
             self.recognitions.pop(epc, None)
             session = self.sessions.pop(epc, None)
@@ -755,7 +708,7 @@ class SessionManager:
             self._closed.discard(epc)
         # The eviction audit trail is bounded the same way: keep only
         # as much history as the retention cap allows.
-        while len(self.evicted_epcs) > self.retain_results:
+        while len(self.evicted_epcs) > cap:
             self.evicted_epcs.pop(0)
 
     # ------------------------------------------------------------------
@@ -852,10 +805,10 @@ class SessionManager:
         Reads the log lazily (:func:`repro.io.logs.iter_phase_log`) —
         constant memory for the file itself and bounded work per report.
         The per-tag sessions do retain tracking history (and, by
-        default, the raw reports) until finalized; build them with
-        ``retain_reports=False`` to shed the largest share of that, and
-        with ``retain_results`` to bound the closed-session history on
-        long logs.
+        default, the raw reports) until finalized; set
+        ``retain_reports=False`` in the config to shed the largest share
+        of that, and ``retain_results`` to bound the closed-session
+        history on long logs.
 
         Args:
             path: the JSONL phase log.

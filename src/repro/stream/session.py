@@ -49,6 +49,7 @@ from repro.rfid.sampling import (
     PhaseSnapshot,
     build_pair_series,
 )
+from repro.stream.config import SessionConfig
 from repro.stream.resampler import PairSample, StreamResampler
 
 __all__ = ["SessionState", "TrajectoryPoint", "TrackingSession", "step_sessions"]
@@ -100,29 +101,12 @@ class TrackingSession:
             demultiplex tags).
         pairs: antenna pairs to difference (default: all same-reader
             pairs of the system's deployment — the batch default).
-        sample_rate: shared timeline rate in Hz.
-        min_reads_per_antenna: the batch dead-antenna threshold.
-        candidate_count: how many initial candidates to trace (default:
-            the positioner's configured count).
-        out_of_order: per-antenna timestamp policy, see
-            :class:`~repro.stream.resampler.StreamResampler`. Under
-            ``"drop"``, non-finite phase samples from a flaky reader are
-            likewise counted in the resampler's ``dropped_reports`` and
-            skipped instead of killing the session.
-        retain_reports: keep raw reports so degenerate streams can fall
-            back to the batch builder at finalize. Disable for bounded
-            memory on healthy long-running streams.
-        prune_margin: steady-state cost knob — drop trace candidates
-            whose running vote sum trails the leader's by more than this
-            margin, shrinking the per-step batched solve. Safe for any
-            positive value: the engine resumes a dropped candidate at
-            finalize whenever its frozen sum does not already prove it a
-            loser (see :meth:`repro.core.engine.BatchedTracer.begin`),
-            so the chosen trajectory is always identical to the
-            unpruned batch answer; only the per-candidate diagnostics of
-            certified losers are omitted from the result. ``None``
-            (default) disables pruning.
-        prune_burn_in: steps before pruning may begin.
+        config: the session policy — timeline rate, dead-antenna
+            threshold, candidate count, out-of-order policy, report
+            retention and candidate pruning (see
+            :class:`~repro.stream.config.SessionConfig`; ``None``
+            means ``SessionConfig()``). Its manager-level fields are
+            ignored here.
     """
 
     def __init__(
@@ -130,13 +114,7 @@ class TrackingSession:
         system: RFIDrawSystem,
         epc_hex: str | None = None,
         pairs: list[AntennaPair] | None = None,
-        sample_rate: float = 20.0,
-        min_reads_per_antenna: int = 4,
-        candidate_count: int | None = None,
-        out_of_order: str = "raise",
-        retain_reports: bool = True,
-        prune_margin: float | None = None,
-        prune_burn_in: int = 8,
+        config: SessionConfig | None = None,
     ) -> None:
         self.system = system
         self.epc_hex = epc_hex
@@ -145,23 +123,14 @@ class TrackingSession:
         self.pairs = (
             list(pairs) if pairs is not None else system.deployment.pairs()
         )
-        self.sample_rate = float(sample_rate)
-        self.min_reads_per_antenna = int(min_reads_per_antenna)
-        self.candidate_count = candidate_count
-        self.retain_reports = retain_reports
-        # Fail fast on bad knobs (the engine re-validates at begin(), but
-        # that is mid-stream — long after a SessionManager loop started).
-        if prune_margin is not None and not float(prune_margin) > 0:
-            raise ValueError("prune_margin must be positive")
-        if int(prune_burn_in) < 1:
-            raise ValueError("prune_burn_in must be at least 1")
-        self.prune_margin = prune_margin
-        self.prune_burn_in = prune_burn_in
+        self.config = config = (
+            config if config is not None else SessionConfig()
+        )
         self.resampler = StreamResampler(
             self.pairs,
-            sample_rate=self.sample_rate,
-            min_reads_per_antenna=self.min_reads_per_antenna,
-            out_of_order=out_of_order,
+            sample_rate=config.sample_rate,
+            min_reads_per_antenna=config.min_reads_per_antenna,
+            out_of_order=config.out_of_order,
         )
         self.state = SessionState.WARMING
         self.candidates: list[PositionCandidate] = []
@@ -253,7 +222,7 @@ class TrackingSession:
         # builder would see them (the log is time-sorted), so a fallback
         # needs them to answer identically. Non-finite phases are the
         # exception: they are not data and would poison the fallback.
-        if self.retain_reports and math.isfinite(report.phase):
+        if self.config.retain_reports and math.isfinite(report.phase):
             self._reports.append(report)
         return samples
 
@@ -320,7 +289,7 @@ class TrackingSession:
             time=sample.time,
         )
         self.candidates = self.system.positioner.candidates(
-            snapshot, self.candidate_count
+            snapshot, self.config.candidate_count
         )
         if not self.candidates:
             raise ValueError("the positioner produced no candidates")
@@ -331,8 +300,8 @@ class TrackingSession:
             self.pairs,
             sample.delta_phi,
             starts,
-            prune_margin=self.prune_margin,
-            prune_burn_in=self.prune_burn_in,
+            prune_margin=self.config.prune_margin,
+            prune_burn_in=self.config.prune_burn_in,
         )
         self._running_votes = self._trace_state.running
         self.state = SessionState.TRACKING
@@ -456,7 +425,7 @@ class TrackingSession:
         pairs — replaying the retained reports through it keeps the
         streaming API's answers identical to batch on every input.
         """
-        if not self.retain_reports:
+        if not self.config.retain_reports:
             raise ValueError(
                 "stream never warmed up and retain_reports=False left "
                 "nothing to fall back on"
@@ -469,15 +438,11 @@ class TrackingSession:
             self.system.deployment,
             epc_hex=self.epc_hex,
             pairs=self.pairs,
-            sample_rate=self.sample_rate,
-            min_reads_per_antenna=self.min_reads_per_antenna,
+            sample_rate=self.config.sample_rate,
+            min_reads_per_antenna=self.config.min_reads_per_antenna,
         )
-        fallback = TrackingSession(
-            self.system,
-            candidate_count=self.candidate_count,
-            prune_margin=self.prune_margin,
-            prune_burn_in=self.prune_burn_in,
-        )
+        # Series mode reads only the candidate and pruning fields.
+        fallback = TrackingSession(self.system, config=self.config)
         fallback.ingest_series(series)
         self.points = fallback.points
         self.candidates = fallback.candidates

@@ -203,52 +203,25 @@ class WifiTracker:
             )
         return packet_times, per_antenna
 
-    def open_session(self, sample_rate: float = 20.0, config=None, **kwargs):
+    def open_session(
+        self, config=None, *, epc_hex: str | None = None, pairs=None
+    ):
         """A streaming session over the WiFi-band deployment.
 
         Per-packet phase reports (e.g. from :meth:`observe_log`, or a
         live CSI extractor) stream straight in; the unchanged RF-IDraw
-        core runs with ``round_trip=1`` and the WiFi wavelength.
-        Accepts a :class:`repro.stream.SessionConfig` like the RFID
-        facade; the ``sample_rate`` convenience argument (and any loose
-        tunable keywords) are folded into one silently when no explicit
-        config is given — this thin facade carries no deprecation
-        surface of its own.
+        core runs with ``round_trip=1`` and the WiFi wavelength. Takes
+        the same :class:`repro.stream.SessionConfig` and identity
+        arguments as :meth:`repro.core.pipeline.RFIDrawSystem.open_session`.
         """
-        return self.system.open_session(
-            config=self._fold_config(sample_rate, config, kwargs), **kwargs
-        )
+        return self.system.open_session(config, epc_hex=epc_hex, pairs=pairs)
 
     def reconstruct(self, series: list[PairSeries]) -> ReconstructionResult:
         """Run the unchanged multi-resolution + tracing pipeline."""
         return self.system.reconstruct(series)
 
     def reconstruct_log(
-        self, log: MeasurementLog, sample_rate: float = 20.0, config=None,
-        **kwargs,
+        self, log: MeasurementLog, *, epc_hex: str | None = None, config=None
     ) -> ReconstructionResult:
         """Stream a recorded packet log through a session and finalize."""
-        return self.system.reconstruct_log(
-            log, config=self._fold_config(sample_rate, config, kwargs),
-            **kwargs,
-        )
-
-    @staticmethod
-    def _fold_config(sample_rate: float, config, kwargs: dict):
-        """Fold loose tunables into a SessionConfig, silently (in place:
-        tunable keys are popped out of ``kwargs``)."""
-        from repro.stream.config import CONFIG_FIELDS, SessionConfig
-
-        tunables = {
-            key: kwargs.pop(key) for key in list(kwargs)
-            if key in CONFIG_FIELDS
-        }
-        if config is not None:
-            if tunables:
-                raise ValueError(
-                    "pass tunables inside config=SessionConfig(...), not "
-                    "alongside it"
-                )
-            return config
-        tunables.setdefault("sample_rate", sample_rate)
-        return SessionConfig(**tunables)
+        return self.system.reconstruct_log(log, epc_hex, config=config)

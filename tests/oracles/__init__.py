@@ -1,10 +1,12 @@
 """Reference implementations the production engine is checked against.
 
-They are slow, literal transcriptions of the paper's algorithms, kept
-as executable specifications for the tests and the ablation and engine
-benchmarks; the shipped package carries only the vectorized engine.
+They are slow, literal transcriptions of the paper's algorithms and of
+the Gen2 air protocol, kept as executable specifications for the tests
+and the ablation, engine, channel and protocol benchmarks; the shipped
+package carries only the vectorized engines.
 """
 
+from tests.oracles.inventory import InventoryRound, inventory_reference
 from tests.oracles.tracing import (
     GridTracer,
     TrajectoryTracer,
@@ -15,7 +17,9 @@ from tests.oracles.voting import total_votes_reference
 
 __all__ = [
     "GridTracer",
+    "InventoryRound",
     "TrajectoryTracer",
+    "inventory_reference",
     "lock_lobes",
     "reconstruct_reference",
     "total_votes_reference",

@@ -11,11 +11,11 @@ from repro.rfid.protocol import (
     COLLISION_SLOT_S,
     EMPTY_SLOT_S,
     SUCCESS_SLOT_S,
-    InventoryRound,
     QAlgorithm,
     SlotOutcome,
 )
 from repro.rfid.tag import PassiveTag
+from tests.oracles import InventoryRound
 
 
 def make_tags(count):

@@ -8,6 +8,7 @@ from repro.rf.noise import PhaseNoiseModel
 from repro.rfid.epc import Epc96
 from repro.rfid.reader import PhaseReport, Reader
 from repro.rfid.tag import PassiveTag
+from tests.oracles import inventory_reference
 
 
 @pytest.fixture
@@ -168,9 +169,10 @@ class TestVectorizedMatchesReference:
         fast = self._multipath_reader(deployment, wavelength).inventory(
             tags, 1.0, np.random.default_rng(42)
         )
-        slow = self._multipath_reader(
-            deployment, wavelength
-        ).inventory_reference(tags, 1.0, np.random.default_rng(42))
+        slow = inventory_reference(
+            self._multipath_reader(deployment, wavelength),
+            tags, 1.0, np.random.default_rng(42),
+        )
         self._assert_logs_match(fast, slow)
 
     def test_moving_tag_vectorized_callback(self, deployment, wavelength):
@@ -190,10 +192,9 @@ class TestVectorizedMatchesReference:
         fast = self._multipath_reader(deployment, wavelength).inventory(
             [tag], 1.5, np.random.default_rng(6), position_at=position_at
         )
-        slow = self._multipath_reader(
-            deployment, wavelength
-        ).inventory_reference(
-            [tag], 1.5, np.random.default_rng(6), position_at=position_at
+        slow = inventory_reference(
+            self._multipath_reader(deployment, wavelength),
+            [tag], 1.5, np.random.default_rng(6), position_at=position_at,
         )
         self._assert_logs_match(fast, slow)
 
@@ -206,10 +207,9 @@ class TestVectorizedMatchesReference:
         fast = self._multipath_reader(deployment, wavelength).inventory(
             [tag], 1.0, np.random.default_rng(9), position_at=position_at
         )
-        slow = self._multipath_reader(
-            deployment, wavelength
-        ).inventory_reference(
-            [tag], 1.0, np.random.default_rng(9), position_at=position_at
+        slow = inventory_reference(
+            self._multipath_reader(deployment, wavelength),
+            [tag], 1.0, np.random.default_rng(9), position_at=position_at,
         )
         self._assert_logs_match(fast, slow)
 
@@ -262,9 +262,10 @@ class TestVectorizedMatchesReference:
         fast = self._multipath_reader(deployment, wavelength).inventory(
             tags, 2.5, np.random.default_rng(17)
         )
-        slow = self._multipath_reader(
-            deployment, wavelength
-        ).inventory_reference(tags, 2.5, np.random.default_rng(17))
+        slow = inventory_reference(
+            self._multipath_reader(deployment, wavelength),
+            tags, 2.5, np.random.default_rng(17),
+        )
         self._assert_logs_match(fast, slow)
 
     def test_static_mix_includes_out_of_range_tag(self, deployment, wavelength):
@@ -276,9 +277,10 @@ class TestVectorizedMatchesReference:
         fast = self._multipath_reader(deployment, wavelength).inventory(
             tags, 1.0, np.random.default_rng(23)
         )
-        slow = self._multipath_reader(
-            deployment, wavelength
-        ).inventory_reference(tags, 1.0, np.random.default_rng(23))
+        slow = inventory_reference(
+            self._multipath_reader(deployment, wavelength),
+            tags, 1.0, np.random.default_rng(23),
+        )
         self._assert_logs_match(fast, slow)
         assert {report.epc_hex for report in fast} == {tags[0].epc.to_hex()}
 
@@ -307,10 +309,9 @@ class TestVectorizedMatchesReference:
         fast = self._multipath_reader(deployment, wavelength).inventory(
             [tag], 2.0, np.random.default_rng(31), position_at=position_at
         )
-        slow = self._multipath_reader(
-            deployment, wavelength
-        ).inventory_reference(
-            [tag], 2.0, np.random.default_rng(31), position_at=position_at
+        slow = inventory_reference(
+            self._multipath_reader(deployment, wavelength),
+            [tag], 2.0, np.random.default_rng(31), position_at=position_at,
         )
         self._assert_logs_match(fast, slow)
         # The walk-away must actually exercise the transition: reads
@@ -329,10 +330,13 @@ class TestVectorizedMatchesReference:
             1, deployment.antennas_of_reader(1), free_channel,
             PhaseNoiseModel.noiseless(), **reader_args,
         ).inventory([tag], 1.0, np.random.default_rng(3))
-        slow = Reader(
-            1, deployment.antennas_of_reader(1), free_channel,
-            PhaseNoiseModel.noiseless(), **reader_args,
-        ).inventory_reference([tag], 1.0, np.random.default_rng(3))
+        slow = inventory_reference(
+            Reader(
+                1, deployment.antennas_of_reader(1), free_channel,
+                PhaseNoiseModel.noiseless(), **reader_args,
+            ),
+            [tag], 1.0, np.random.default_rng(3),
+        )
         self._assert_logs_match(fast, slow)
 
 

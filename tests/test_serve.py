@@ -94,6 +94,49 @@ class TestSharding:
             assert times == sorted(times)
 
 
+def _stroke_error_m(epc_hex, result, stagger=0.15):
+    """Largest distance between a fleet tag's reconstruction and the
+    circular stroke :func:`synthetic_fleet` draws for it (recomputed
+    here, independently of the stream)."""
+    tag = int(epc_hex, 16)
+    angle = 2.0 * np.pi * 0.4 * (result.times - tag * stagger)
+    truth = np.stack(
+        [
+            0.55 + 0.04 * (tag % 5) + 0.08 * np.cos(angle),
+            0.65 + 0.03 * (tag % 7) + 0.08 * np.sin(angle),
+        ],
+        axis=1,
+    )
+    return float(np.max(np.linalg.norm(result.trajectory - truth, axis=1)))
+
+
+class TestFleetAccuracy:
+    """The noise-free fleet is geometry-exact, so every tag must
+    reconstruct onto its own stroke — not just agree across paths."""
+
+    def test_in_process_within_1mm(self, fleet):
+        system, reports = fleet
+        results, _, _, failures = _single_manager(
+            system, reports, SessionConfig()
+        )
+        assert failures == {}
+        assert len(results) == 6
+        for epc, result in results.items():
+            assert _stroke_error_m(epc, result) < 1e-3
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_service_within_1mm(self, fleet, shards):
+        system, reports = fleet
+        replay = serve_reports(
+            system, reports, shards=shards, config=SessionConfig(),
+            burst_size=64,
+        )
+        assert replay.failures == {}
+        assert len(replay.results) == 6
+        for epc, result in replay.results.items():
+            assert _stroke_error_m(epc, result) < 1e-3
+
+
 class TestShardDeterminism:
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_clean_stream_matches_single_manager(self, fleet, shards):

@@ -191,7 +191,7 @@ class TestTypedEvents:
         }
         for event in events:
             assert isinstance(event, SessionEvent)
-            # The legacy tag stays consistent with the subclass.
+            # The lifecycle tag is the subclass's class constant.
             assert event.type is {
                 SessionStarted: SessionEventType.STARTED,
                 PointEmitted: SessionEventType.POINT,
@@ -212,8 +212,13 @@ class TestTypedEvents:
         assert detached.epc_hex == point_event.epc_hex
 
     def test_detached_base_class(self):
-        event = SessionEvent(SessionEventType.STARTED, "30AA", session=None)
-        assert event.detached().session is None
+        # The one detached() on the base class keeps the subclass and
+        # its lifecycle tag.
+        event = SessionStarted("30AA", session=object())
+        detached = event.detached()
+        assert type(detached) is SessionStarted
+        assert detached.session is None
+        assert detached.type is SessionEventType.STARTED
 
     def test_events_pickle_detached(self, fleet):
         import pickle

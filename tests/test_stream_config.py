@@ -1,4 +1,4 @@
-"""SessionConfig: one validated config surface + legacy-kwarg shims."""
+"""SessionConfig: the one validated config surface of every tier."""
 
 import dataclasses
 
@@ -11,7 +11,6 @@ from repro.stream import (
     SessionManager,
     TrackingSession,
 )
-from repro.stream.config import CONFIG_FIELDS, fold_legacy_kwargs
 
 
 @pytest.fixture
@@ -20,16 +19,22 @@ def system(deployment, plane, wavelength):
 
 
 class TestSessionConfig:
-    def test_defaults_round_trip(self):
+    def test_defaults_round_trip(self, system):
         config = SessionConfig()
-        kwargs = config.session_kwargs()
-        assert kwargs["sample_rate"] == 20.0
-        assert kwargs["out_of_order"] == "raise"
-        assert set(kwargs) < CONFIG_FIELDS
-        # Manager-level policy stays out of the session subset.
-        assert "idle_timeout" not in kwargs
-        assert "max_sessions" not in kwargs
-        assert "retain_results" not in kwargs
+        assert config.sample_rate == 20.0
+        assert config.out_of_order == "raise"
+        # Every tier defaults to the same policy value.
+        assert TrackingSession(system).config == config
+        assert SessionManager(system).config == config
+        assert system.open_session().config == config
+
+    def test_none_means_default(self, system):
+        # Every tier reads config=None as SessionConfig(), so a manager
+        # built that way routes reports instead of failing on the first.
+        assert TrackingSession(system, config=None).config == SessionConfig()
+        manager = SessionManager(system, config=None)
+        assert manager.config == SessionConfig()
+        assert manager.session_for("30AA").config == SessionConfig()
 
     def test_frozen(self):
         config = SessionConfig()
@@ -61,119 +66,43 @@ class TestSessionConfig:
             SessionConfig(**bad)
 
 
-class TestFoldLegacyKwargs:
-    def test_no_tunables_passthrough(self):
-        config, rest = fold_legacy_kwargs(None, {"epc_hex": "30AA"}, "X")
-        assert config == SessionConfig()
-        assert rest == {"epc_hex": "30AA"}
-
-    def test_explicit_config_wins(self):
-        given = SessionConfig(out_of_order="drop")
-        config, rest = fold_legacy_kwargs(given, {}, "X")
-        assert config is given
-        assert rest == {}
-
-    def test_legacy_tunables_warn_and_fold(self):
-        with pytest.warns(DeprecationWarning, match="X: passing"):
-            config, rest = fold_legacy_kwargs(
-                None, {"idle_timeout": 3.0, "epc_hex": "30AA"}, "X"
-            )
-        assert config.idle_timeout == 3.0
-        assert rest == {"epc_hex": "30AA"}
-
-    def test_config_plus_tunables_is_an_error(self):
-        with pytest.raises(ValueError, match="not alongside"):
-            fold_legacy_kwargs(
-                SessionConfig(), {"idle_timeout": 3.0}, "X"
-            )
-
-
 class TestManagerShim:
+    """The manager and the facades take tunables only as a config."""
+
     def test_config_accepted_silently(self, recwarn, system):
         config = SessionConfig(
             out_of_order="drop", idle_timeout=2.0, max_sessions=3
         )
         manager = SessionManager(system, config=config)
         assert manager.config is config
-        assert manager.idle_timeout == 2.0
-        assert manager.max_sessions == 3
+        assert manager.session_for("30AA").config is config
         deprecations = [
             w for w in recwarn.list
             if issubclass(w.category, DeprecationWarning)
         ]
         assert not deprecations
 
-    def test_legacy_kwargs_warn_but_work(self, system):
-        with pytest.warns(DeprecationWarning, match="SessionManager"):
-            manager = SessionManager(
-                system, idle_timeout=2.0, candidate_count=2
-            )
-        assert manager.idle_timeout == 2.0
-        assert manager.config.candidate_count == 2
-        session = manager.session_for("30AA")
-        assert session.candidate_count == 2
-
     def test_config_plus_legacy_is_an_error(self, system):
-        with pytest.raises(ValueError, match="not alongside"):
+        # Loose tunables are no longer keywords at all.
+        with pytest.raises(TypeError):
             SessionManager(
                 system, config=SessionConfig(), idle_timeout=2.0
             )
-
-    def test_custom_factory_plus_tunables_is_an_error(self, system):
-        def factory(epc_hex):
-            return TrackingSession(system, epc_hex=epc_hex)
-
-        with pytest.raises(ValueError, match="session_factory"):
-            SessionManager(
-                system,
-                session_factory=factory,
-                config=SessionConfig(candidate_count=2),
-            )
-
-    def test_custom_factory_with_manager_policy_ok(self, system):
-        # Manager-level policy is not a session tunable — a custom
-        # factory composes with it.
-        def factory(epc_hex):
-            return TrackingSession(system, epc_hex=epc_hex)
-
-        manager = SessionManager(
-            system,
-            session_factory=factory,
-            config=SessionConfig(idle_timeout=5.0),
-        )
-        assert manager.idle_timeout == 5.0
 
 
 class TestFacadeShims:
     def test_open_session_config(self, recwarn, system):
         config = SessionConfig(candidate_count=2, out_of_order="drop")
         session = system.open_session(config=config, epc_hex="30AA")
-        assert session.candidate_count == 2
+        assert session.config is config
         assert session.epc_hex == "30AA"
         assert not [
             w for w in recwarn.list
             if issubclass(w.category, DeprecationWarning)
         ]
 
-    def test_open_session_legacy_warns(self, system):
-        with pytest.warns(DeprecationWarning, match="open_session"):
-            session = system.open_session(candidate_count=2)
-        assert session.candidate_count == 2
-
-    def test_reconstruct_log_legacy_warning_names_caller(self):
-        """The shim's warning is attributed to the code that called
-        reconstruct_log, not to the library forwarding the arguments."""
-        from repro.serve.workload import fleet_system, synthetic_fleet
-
-        fleet = fleet_system()
-        reports = synthetic_fleet(fleet, tags=1)
-        with pytest.warns(DeprecationWarning, match="reconstruct_log") as record:
-            result = fleet.reconstruct_log(reports, sample_rate=20.0)
-        assert [w.filename for w in record] == [__file__]
-        assert len(result.times) > 0
-
     def test_open_session_conflict(self, system):
-        with pytest.raises(ValueError, match="not alongside"):
+        with pytest.raises(TypeError):
             system.open_session(
                 config=SessionConfig(), candidate_count=2
             )
@@ -182,16 +111,25 @@ class TestFacadeShims:
         from repro.wifi.system import WifiTracker
 
         tracker = WifiTracker()
-        session = tracker.open_session(sample_rate=40.0, candidate_count=2)
-        assert session.candidate_count == 2
+        config = SessionConfig(sample_rate=40.0, candidate_count=2)
+        session = tracker.open_session(config=config)
+        assert session.config is config
+        # The session really runs at the configured rate.
+        assert session.resampler.sample_rate == 40.0
         assert not [
             w for w in recwarn.list
             if issubclass(w.category, DeprecationWarning)
         ]
-        with pytest.raises(ValueError, match="not alongside"):
-            tracker.open_session(
-                config=SessionConfig(), candidate_count=2
-            )
+        with pytest.raises(TypeError):
+            tracker.open_session(sample_rate=40.0, config=config)
+
+    def test_wifi_reconstruct_log_epc_is_keyword_only(self):
+        from repro.wifi.system import WifiTracker
+
+        # A stale positional sample rate fails loudly rather than
+        # pinning the session to a bogus EPC.
+        with pytest.raises(TypeError):
+            WifiTracker().reconstruct_log([], 20.0)
 
 
 class TestManagerStatsMerge:

@@ -14,7 +14,15 @@ from repro.rfid.epc import Epc96
 from repro.rfid.reader import Reader
 from repro.rfid.sampling import MeasurementLog, build_pair_series
 from repro.rfid.tag import PassiveTag
-from repro.stream import SessionEventType, SessionManager, TrackingSession
+from repro.stream import (
+    SessionConfig,
+    SessionEventType,
+    SessionManager,
+    TrackingSession,
+)
+
+#: Two traced candidates per tag keep the suite fast.
+CONFIG = SessionConfig(candidate_count=2)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +67,7 @@ def two_tag_world():
 class TestRouting:
     def test_one_session_per_epc(self, two_tag_world):
         system, _deployment, log, tags = two_tag_world
-        manager = SessionManager(system, candidate_count=2)
+        manager = SessionManager(system, config=CONFIG)
         manager.extend(log.reports)
         assert len(manager) == 2
         assert sorted(manager.epcs()) == sorted(
@@ -69,7 +77,7 @@ class TestRouting:
     def test_results_match_per_tag_batch(self, two_tag_world):
         """Routing through the manager == filtering the log per EPC."""
         system, deployment, log, tags = two_tag_world
-        manager = SessionManager(system, candidate_count=2)
+        manager = SessionManager(system, config=CONFIG)
         manager.extend(log.reports)
         results = manager.finalize_all()
         for tag in tags:
@@ -92,32 +100,11 @@ class TestRouting:
         assert np.abs(stream.trajectory - batch.trajectory).max() <= 1e-9
         assert np.abs(stream.times - batch.times).max() <= 1e-9
 
-    def test_custom_factory(self, two_tag_world):
-        system, _deployment, log, _tags = two_tag_world
-        built = []
-
-        def factory(epc_hex):
-            built.append(epc_hex)
-            return TrackingSession(system, epc_hex=epc_hex, candidate_count=1)
-
-        manager = SessionManager(system, session_factory=factory)
-        manager.extend(log.reports[:50])
-        assert len(built) == len(manager)
-
-    def test_factory_and_kwargs_conflict(self, two_tag_world):
-        system, *_ = two_tag_world
-        with pytest.raises(ValueError, match="session_factory"):
-            SessionManager(
-                system,
-                session_factory=lambda epc: TrackingSession(system),
-                candidate_count=2,
-            )
-
 
 class TestLifecycleEvents:
     def test_event_sequence(self, two_tag_world):
         system, _deployment, log, tags = two_tag_world
-        manager = SessionManager(system, candidate_count=2)
+        manager = SessionManager(system, config=CONFIG)
         seen = {"started": [], "points": 0, "finalized": []}
         manager.on_session_started = lambda e: seen["started"].append(e.epc_hex)
         manager.on_session_finalized = lambda e: seen["finalized"].append(
@@ -145,7 +132,7 @@ class TestLifecycleEvents:
         """A tag still replying after its session closed must not crash
         the shared reader loop."""
         system, _deployment, log, _tags = two_tag_world
-        manager = SessionManager(system, candidate_count=2)
+        manager = SessionManager(system, config=CONFIG)
         manager.extend(log.reports)
         epc = manager.epcs()[0]
         manager.finalize(epc)
@@ -163,7 +150,7 @@ class TestLifecycleEvents:
 
     def test_finalize_fires_once(self, two_tag_world):
         system, _deployment, log, _tags = two_tag_world
-        manager = SessionManager(system, candidate_count=2)
+        manager = SessionManager(system, config=CONFIG)
         manager.extend(log.reports)
         fired = []
         manager.on_session_finalized = lambda e: fired.append(e.epc_hex)
@@ -179,7 +166,7 @@ class TestGhostTags:
         from repro.rfid.reader import PhaseReport
 
         system, _deployment, log, tags = two_tag_world
-        manager = SessionManager(system, candidate_count=2)
+        manager = SessionManager(system, config=CONFIG)
         manager.extend(log.reports)
         ghost = "DEADBEEF" * 3
         manager.ingest(PhaseReport(0.5, ghost, 1, 1, 1.0, -70.0))
@@ -192,7 +179,7 @@ class TestGhostTags:
         from repro.rfid.reader import PhaseReport
 
         system, *_ = two_tag_world
-        manager = SessionManager(system, candidate_count=2)
+        manager = SessionManager(system, config=CONFIG)
         manager.ingest(PhaseReport(0.5, "DEADBEEF" * 3, 1, 1, 1.0, -70.0))
         with pytest.raises(ValueError):
             manager.finalize_all(raise_errors=True)
@@ -205,11 +192,11 @@ class TestReplay:
         path = tmp_path / "session.jsonl"
         save_phase_log(log, path)
 
-        live = SessionManager(system, candidate_count=2)
+        live = SessionManager(system, config=CONFIG)
         live.extend(log.reports)
         live_results = live.finalize_all()
 
-        replayed = SessionManager(system, candidate_count=2)
+        replayed = SessionManager(system, config=CONFIG)
         replay_results = replayed.replay(path)
         assert set(replay_results) == set(live_results)
         for epc, result in live_results.items():
@@ -226,7 +213,7 @@ class TestReplay:
         system, _deployment, log, _tags = two_tag_world
         path = tmp_path / "session.jsonl"
         save_phase_log(log, path)
-        manager = SessionManager(system, candidate_count=2)
+        manager = SessionManager(system, config=CONFIG)
         assert manager.replay(path, finalize=False) == {}
         assert all(
             session.result is None for session in manager.sessions.values()
@@ -251,7 +238,8 @@ class TestEviction:
         system, deployment, log, tags = two_tag_world
         early_epc, merged = self._split_streams(log, tags, cut=0.8)
         manager = SessionManager(
-            system, idle_timeout=0.3, candidate_count=2
+            system,
+            config=CONFIG.with_updates(idle_timeout=0.3),
         )
         order = []
         manager.on_session_finalized = lambda e: order.append(("fin", e.epc_hex))
@@ -283,7 +271,10 @@ class TestEviction:
     def test_stragglers_counted_after_eviction(self, two_tag_world):
         system, _deployment, log, tags = two_tag_world
         early_epc, merged = self._split_streams(log, tags, cut=0.8)
-        manager = SessionManager(system, idle_timeout=0.3, candidate_count=2)
+        manager = SessionManager(
+            system,
+            config=CONFIG.with_updates(idle_timeout=0.3),
+        )
         manager.extend(merged)
         assert manager.evicted_epcs == [early_epc]
         before = manager.stragglers
@@ -305,7 +296,10 @@ class TestEviction:
         from repro.rfid.reader import PhaseReport
 
         system, _deployment, log, _tags = two_tag_world
-        manager = SessionManager(system, idle_timeout=0.3, candidate_count=2)
+        manager = SessionManager(
+            system,
+            config=CONFIG.with_updates(idle_timeout=0.3),
+        )
         ghost = "DEADBEEF" * 3
         evicted = []
         manager.on_session_evicted = lambda e: evicted.append(e)
@@ -322,7 +316,10 @@ class TestEviction:
         """With a cap of 1, the longest-idle open session is evicted the
         moment a new EPC shows up."""
         system, _deployment, log, tags = two_tag_world
-        manager = SessionManager(system, max_sessions=1, candidate_count=2)
+        manager = SessionManager(
+            system,
+            config=CONFIG.with_updates(max_sessions=1),
+        )
         first_epc = log.reports[0].epc_hex
         second_epc = next(
             r.epc_hex for r in log.reports if r.epc_hex != first_epc
@@ -338,9 +335,9 @@ class TestEviction:
     def test_eviction_knob_validation(self, two_tag_world):
         system, *_ = two_tag_world
         with pytest.raises(ValueError, match="idle_timeout"):
-            SessionManager(system, idle_timeout=0.0)
+            SessionManager(system, config=SessionConfig(idle_timeout=0.0))
         with pytest.raises(ValueError, match="max_sessions"):
-            SessionManager(system, max_sessions=0)
+            SessionManager(system, config=SessionConfig(max_sessions=0))
 
     def test_replay_evicts_like_live(self, two_tag_world, tmp_path):
         """Report-time keying means a JSONL replay evicts at the same
@@ -352,11 +349,17 @@ class TestEviction:
         path = tmp_path / "evict.jsonl"
         save_phase_log(MeasurementLog(list(merged)), path)
 
-        live = SessionManager(system, idle_timeout=0.3, candidate_count=2)
+        live = SessionManager(
+            system,
+            config=CONFIG.with_updates(idle_timeout=0.3),
+        )
         live.extend(merged)
         live_results = live.finalize_all()
 
-        replayed = SessionManager(system, idle_timeout=0.3, candidate_count=2)
+        replayed = SessionManager(
+            system,
+            config=CONFIG.with_updates(idle_timeout=0.3),
+        )
         replay_results = replayed.replay(path)
         assert replayed.evicted_epcs == live.evicted_epcs == [early_epc]
         for epc, result in live_results.items():
@@ -373,7 +376,7 @@ class TestFailedFinalizeReingest:
         system, _deployment, log, tags = two_tag_world
         epc = tags[0].epc.to_hex()
         own = [r for r in log.reports if r.epc_hex == epc]
-        manager = SessionManager(system, candidate_count=2)
+        manager = SessionManager(system, config=CONFIG)
         manager.extend(own[:3])  # far too few reads to warm up
         results = manager.finalize_all()
         assert results == {}
@@ -398,7 +401,10 @@ class TestIdleClockMonotonicity:
         from repro.rfid.reader import PhaseReport
 
         system, *_ = two_tag_world
-        manager = SessionManager(system, idle_timeout=0.5, candidate_count=2)
+        manager = SessionManager(
+            system,
+            config=CONFIG.with_updates(idle_timeout=0.5),
+        )
         tag, other = "AA" * 12, "BB" * 12
         manager.ingest(PhaseReport(1.00, tag, 1, 1, 1.0, -60.0))
         manager.ingest(PhaseReport(0.70, tag, 1, 2, 1.0, -60.0))
@@ -415,7 +421,10 @@ class TestIdleClockMonotonicity:
 class TestRetainResults:
     def test_finalized_sessions_release_buffers(self, two_tag_world):
         system, _deployment, log, tags = two_tag_world
-        manager = SessionManager(system, candidate_count=2, retain_results=8)
+        manager = SessionManager(
+            system,
+            config=CONFIG.with_updates(retain_results=8),
+        )
         manager.extend(log.reports)
         results = manager.finalize_all()
         assert len(results) == 2
@@ -430,8 +439,11 @@ class TestRetainResults:
 
     def test_results_match_uncapped_manager(self, two_tag_world):
         system, _deployment, log, _tags = two_tag_world
-        capped = SessionManager(system, candidate_count=2, retain_results=8)
-        plain = SessionManager(system, candidate_count=2)
+        capped = SessionManager(
+            system,
+            config=CONFIG.with_updates(retain_results=8),
+        )
+        plain = SessionManager(system, config=CONFIG)
         capped.extend(log.reports)
         plain.extend(log.reports)
         capped_results = capped.finalize_all()
@@ -444,7 +456,10 @@ class TestRetainResults:
 
     def test_oldest_finalized_sessions_shed(self, two_tag_world):
         system, _deployment, log, tags = two_tag_world
-        manager = SessionManager(system, candidate_count=2, retain_results=1)
+        manager = SessionManager(
+            system,
+            config=CONFIG.with_updates(retain_results=1),
+        )
         manager.extend(log.reports)
         epcs = [tag.epc.to_hex() for tag in tags]
         first = manager.finalize(epcs[0])
@@ -457,7 +472,10 @@ class TestRetainResults:
 
     def test_shed_tag_returning_starts_fresh_session(self, two_tag_world):
         system, _deployment, log, tags = two_tag_world
-        manager = SessionManager(system, candidate_count=2, retain_results=0)
+        manager = SessionManager(
+            system,
+            config=CONFIG.with_updates(retain_results=0),
+        )
         manager.extend(log.reports)
         manager.finalize_all()  # every session finalized then shed
         assert len(manager.sessions) == 0
@@ -475,9 +493,7 @@ class TestRetainResults:
         system, _deployment, log, _tags = two_tag_world
         manager = SessionManager(
             system,
-            candidate_count=2,
-            idle_timeout=0.5,
-            retain_results=1,
+            config=CONFIG.with_updates(idle_timeout=0.5, retain_results=1),
         )
         finalized = []
         manager.on_session_finalized = (
@@ -497,11 +513,11 @@ class TestRetainResults:
     def test_negative_cap_rejected(self, two_tag_world):
         system, *_ = two_tag_world
         with pytest.raises(ValueError, match="retain_results"):
-            SessionManager(system, retain_results=-1)
+            SessionManager(system, config=SessionConfig(retain_results=-1))
 
     def test_release_requires_finalized(self, two_tag_world):
         system, *_ = two_tag_world
-        session = TrackingSession(system, candidate_count=2)
+        session = TrackingSession(system, config=CONFIG)
         with pytest.raises(ValueError, match="finalized"):
             session.release()
 
@@ -518,7 +534,8 @@ class TestRetainResultsBoundedState:
 
         system, _deployment, log, _tags = two_tag_world
         manager = SessionManager(
-            system, idle_timeout=0.3, candidate_count=2, retain_results=0
+            system,
+            config=CONFIG.with_updates(idle_timeout=0.3, retain_results=0),
         )
         ghost = "DEADBEEF" * 3
         manager.ingest(PhaseReport(0.05, ghost, 1, 1, 1.0, -70.0))
@@ -553,14 +570,12 @@ class TestRetainResultsBoundedState:
         path = tmp_path / "log.jsonl"
         save_phase_log(extended, path)
 
-        plain = SessionManager(system, candidate_count=2)
+        plain = SessionManager(system, config=CONFIG)
         expected = plain.replay(path)
 
         capped = SessionManager(
             system,
-            candidate_count=2,
-            idle_timeout=0.4,
-            retain_results=0,
+            config=CONFIG.with_updates(idle_timeout=0.4, retain_results=0),
         )
         results = capped.replay(path)
         # The silent tag really was evicted and shed mid-replay…
@@ -579,7 +594,10 @@ class TestRetainResultsBoundedState:
         system, _deployment, log, _tags = two_tag_world
         path = tmp_path / "log.jsonl"
         save_phase_log(log, path)
-        manager = SessionManager(system, candidate_count=2, retain_results=1)
+        manager = SessionManager(
+            system,
+            config=CONFIG.with_updates(retain_results=1),
+        )
         seen = []
         manager.on_session_finalized = lambda event: seen.append(event.epc_hex)
         user_callback = manager.on_session_finalized
@@ -597,7 +615,7 @@ class TestStatsSnapshot:
         system, _deployment, log, tags = two_tag_world
         path = tmp_path / "log.jsonl"
         save_phase_log(log, path)
-        manager = SessionManager(system, candidate_count=2)
+        manager = SessionManager(system, config=CONFIG)
         results = manager.replay(path)
         # Backward compatible: still the {epc: result} mapping…
         assert isinstance(results, dict)
@@ -615,7 +633,7 @@ class TestStatsSnapshot:
         import json
 
         system, _deployment, log, _tags = two_tag_world
-        manager = SessionManager(system, candidate_count=2)
+        manager = SessionManager(system, config=CONFIG)
         manager.extend(log.reports[:50])
         snapshot = manager.stats().as_dict()
         json.dumps(snapshot)  # must serialize
@@ -625,7 +643,7 @@ class TestStatsSnapshot:
 
     def test_open_then_finalized_transitions(self, two_tag_world):
         system, _deployment, log, _tags = two_tag_world
-        manager = SessionManager(system, candidate_count=2)
+        manager = SessionManager(system, config=CONFIG)
         manager.extend(log.reports)
         assert manager.stats().open_sessions == 2
         manager.finalize_all()
@@ -638,7 +656,8 @@ class TestStatsSnapshot:
 
         system, _deployment, log, _tags = two_tag_world
         manager = SessionManager(
-            system, candidate_count=2, out_of_order="drop"
+            system,
+            config=CONFIG.with_updates(out_of_order="drop"),
         )
         reports = list(log.reports)
         corrupted = [
@@ -653,7 +672,7 @@ class TestStatsSnapshot:
 
     def test_note_injected_accumulates_into_stats(self, two_tag_world):
         system, _deployment, _log, _tags = two_tag_world
-        manager = SessionManager(system, candidate_count=2)
+        manager = SessionManager(system, config=CONFIG)
         manager.note_injected({"drop.dropped": 3, "ghost_epc.ghosts": 1})
         manager.note_injected({"drop.dropped": 2})
         assert manager.stats().injected == {
@@ -670,7 +689,7 @@ class TestStatsSnapshot:
         with path.open("a", encoding="utf-8") as handle:
             handle.write("garbage line\n")
             handle.write('{"time": 0.5}\n')
-        manager = SessionManager(system, candidate_count=2)
+        manager = SessionManager(system, config=CONFIG)
         results = manager.replay(path, strict=False)
         assert len(results) == 2  # the stream still reconstructs
         assert results.stats.skipped_log_lines == 2
@@ -681,6 +700,6 @@ class TestStatsSnapshot:
         save_phase_log(log, path)
         with path.open("a", encoding="utf-8") as handle:
             handle.write("garbage line\n")
-        manager = SessionManager(system, candidate_count=2)
+        manager = SessionManager(system, config=CONFIG)
         with pytest.raises(ValueError, match="malformed phase record"):
             manager.replay(path)

@@ -15,7 +15,12 @@ from repro.experiments.scenarios import ScenarioConfig, simulate_word
 from repro.motion.gestures import circle
 from repro.rfid.reader import PhaseReport
 from repro.rfid.sampling import build_pair_series
-from repro.stream import SessionState, StreamResampler, TrackingSession
+from repro.stream import (
+    SessionConfig,
+    SessionState,
+    StreamResampler,
+    TrackingSession,
+)
 from repro.wifi.system import WifiTracker
 
 from tests.helpers import ideal_pair_series
@@ -56,7 +61,9 @@ class TestStreamingMatchesBatch:
             run_baseline=False,
         )
         batch = run.system.reconstruct(run.rfidraw_series)
-        session = run.system.open_session(sample_rate=run.config.sample_rate)
+        session = run.system.open_session(
+            config=SessionConfig(sample_rate=run.config.sample_rate),
+        )
         emitted = []
         for report in run.rfidraw_log.reports:
             emitted.extend(session.ingest(report))
@@ -74,7 +81,9 @@ class TestStreamingMatchesBatch:
         log = tracker.observe_log(points, times, np.random.default_rng(9))
         series = build_pair_series(log, tracker.deployment, sample_rate=20.0)
         batch = tracker.reconstruct(series)
-        stream = tracker.reconstruct_log(log, sample_rate=20.0)
+        stream = tracker.reconstruct_log(
+            log, config=SessionConfig(sample_rate=20.0)
+        )
         _assert_results_equivalent(batch, stream)
 
     def test_facade_routes_through_session(
@@ -107,7 +116,8 @@ class TestStreamingMatchesBatch:
         )
         batch = run.system.reconstruct(run.rfidraw_series)
         stream = run.system.reconstruct_log(
-            run.rfidraw_log, sample_rate=run.config.sample_rate
+            run.rfidraw_log,
+            config=SessionConfig(sample_rate=run.config.sample_rate),
         )
         _assert_results_equivalent(batch, stream)
 
@@ -223,7 +233,9 @@ class TestSessionLifecycle:
             config=ScenarioConfig(distance=2.0, los=True),
             run_baseline=False,
         )
-        session = run.system.open_session(sample_rate=run.config.sample_rate)
+        session = run.system.open_session(
+            config=SessionConfig(sample_rate=run.config.sample_rate),
+        )
         session.extend(run.rfidraw_log.reports)
         first = session.finalize()
         assert session.finalize() is first
@@ -258,7 +270,9 @@ class TestSessionLifecycle:
             log, run.rfidraw_deployment, sample_rate=run.config.sample_rate
         )
         batch = run.system.reconstruct(batch_series)
-        session = run.system.open_session(sample_rate=run.config.sample_rate)
+        session = run.system.open_session(
+            config=SessionConfig(sample_rate=run.config.sample_rate),
+        )
         emitted = session.extend(kept)
         assert emitted == []  # warm-up never completed
         result = session.finalize()
@@ -271,7 +285,9 @@ class TestSessionLifecycle:
             config=ScenarioConfig(distance=2.0, los=True),
             run_baseline=False,
         )
-        session = run.system.open_session(sample_rate=run.config.sample_rate)
+        session = run.system.open_session(
+            config=SessionConfig(sample_rate=run.config.sample_rate),
+        )
         points = session.extend(run.rfidraw_log.reports)
         result = session.finalize()
         assert points, "healthy stream should emit live points"
@@ -311,9 +327,11 @@ class TestCandidatePruningSession:
         )
         batch = run.system.reconstruct(run.rfidraw_series)
         session = run.system.open_session(
-            sample_rate=run.config.sample_rate,
-            prune_margin=margin,
-            prune_burn_in=burn_in,
+            config=SessionConfig(
+                sample_rate=run.config.sample_rate,
+                prune_margin=margin,
+                prune_burn_in=burn_in,
+            ),
         )
         session.extend(run.rfidraw_log.reports)
         result = session.finalize()
@@ -343,9 +361,14 @@ class TestCandidatePruningSession:
         tracker = WifiTracker()
         times, points = circle(center=(0.22, 0.22), radius=0.05, speed=0.15)
         log = tracker.observe_log(points, times, np.random.default_rng(9))
-        batch = tracker.reconstruct_log(log, sample_rate=20.0)
+        batch = tracker.reconstruct_log(
+            log, config=SessionConfig(sample_rate=20.0)
+        )
         pruned = tracker.reconstruct_log(
-            log, sample_rate=20.0, prune_margin=2.0, prune_burn_in=8
+            log,
+            config=SessionConfig(
+                sample_rate=20.0, prune_margin=2.0, prune_burn_in=8
+            ),
         )
         assert np.array_equal(pruned.trajectory, batch.trajectory)
         assert np.array_equal(pruned.times, batch.times)
@@ -359,9 +382,11 @@ class TestCandidatePruningSession:
             run_baseline=False,
         )
         session = run.system.open_session(
-            sample_rate=run.config.sample_rate,
-            prune_margin=2.0,
-            prune_burn_in=8,
+            config=SessionConfig(
+                sample_rate=run.config.sample_rate,
+                prune_margin=2.0,
+                prune_burn_in=8,
+            ),
         )
         points = session.extend(run.rfidraw_log.reports)
         result = session.finalize()
@@ -423,7 +448,10 @@ class TestStreamFailureModes:
         )
         stream_order = self._dead_window_reports(run)
         session = run.system.open_session(
-            sample_rate=run.config.sample_rate, out_of_order="drop"
+            config=SessionConfig(
+                sample_rate=run.config.sample_rate,
+                out_of_order="drop",
+            ),
         )
         emitted = session.extend(stream_order)
         assert emitted == [], "disjoint windows must not emit live points"
@@ -460,7 +488,10 @@ class TestStreamFailureModes:
             )
         )
         session = run.system.open_session(
-            sample_rate=run.config.sample_rate, out_of_order="drop"
+            config=SessionConfig(
+                sample_rate=run.config.sample_rate,
+                out_of_order="drop",
+            ),
         )
         mid = len(reports) // 2
         nan_report = _corrupt_phase(reports[mid])
@@ -482,7 +513,9 @@ class TestStreamFailureModes:
             run_baseline=False,
         )
         template = run.rfidraw_log.reports[0]
-        session = run.system.open_session(sample_rate=run.config.sample_rate)
+        session = run.system.open_session(
+            config=SessionConfig(sample_rate=run.config.sample_rate),
+        )
         with pytest.raises(ValueError, match="non-finite"):
             session.ingest(_corrupt_phase(template))
 
@@ -497,7 +530,9 @@ class TestStreamFailureModes:
         )
         dead = 1
         kept = [r for r in run.rfidraw_log.reports if r.antenna_id != dead]
-        session = run.system.open_session(sample_rate=run.config.sample_rate)
+        session = run.system.open_session(
+            config=SessionConfig(sample_rate=run.config.sample_rate),
+        )
         session.extend(kept)
         result = session.finalize()
         assert np.array_equal(
@@ -512,7 +547,9 @@ class TestStreamFailureModes:
             config=ScenarioConfig(distance=2.0, los=True),
             run_baseline=False,
         )
-        session = run.system.open_session(sample_rate=run.config.sample_rate)
+        session = run.system.open_session(
+            config=SessionConfig(sample_rate=run.config.sample_rate),
+        )
         session.extend(run.rfidraw_log.reports)
         result = session.finalize()
         assert np.array_equal(
@@ -585,8 +622,10 @@ class TestSessionKnobValidation:
         inside a shared ingest loop."""
         system = RFIDrawSystem(deployment, plane, wavelength)
         with pytest.raises(ValueError, match="prune_margin"):
-            TrackingSession(system, prune_margin=0.0)
+            TrackingSession(system, config=SessionConfig(prune_margin=0.0))
         with pytest.raises(ValueError, match="prune_margin"):
-            system.open_session(prune_margin=-2.0)
+            system.open_session(config=SessionConfig(prune_margin=-2.0))
         with pytest.raises(ValueError, match="prune_burn_in"):
-            system.open_session(prune_margin=1.0, prune_burn_in=0)
+            system.open_session(
+                config=SessionConfig(prune_margin=1.0, prune_burn_in=0)
+            )
