@@ -1,9 +1,9 @@
 """Performance regression harness for the vectorized engine.
 
-Times the two hot operations the engine replaced — Eq. 7 voting over the
-positioner's fine grid, and a full ``RFIDrawSystem.reconstruct`` of the
-fig10 "clear" word — against faithful replicas of the seed (pre-engine)
-implementation, and records machine-readable results in
+Times the hot operations the engine replaced — Eq. 7 voting over the
+positioner's fine grid, a full ``RFIDrawSystem.reconstruct`` of the
+fig10 "clear" word, and a warm positioner warm-up — against faithful
+replicas of the earlier implementations, and records machine-readable results in
 ``BENCH_engine.json`` at the repo root so future PRs can track the
 trajectory:
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import least_squares
 
+from repro.core import positioning
 from repro.core.engine import PairBank
 from repro.core.positioning import MultiResolutionPositioner, PositionCandidate
 from repro.experiments.scenarios import ScenarioConfig, simulate_word
@@ -30,7 +31,7 @@ from repro.rfid.sampling import snapshot_at
 from bench_io import timed as _timed
 from bench_io import timed_interleaved as _timed_interleaved
 from bench_io import update_bench
-from tests.oracles import TrajectoryTracer, total_votes_reference
+from tests.oracles import ScipyPositioner, TrajectoryTracer, total_votes_reference
 
 _TWO_PI = 2.0 * np.pi
 
@@ -245,12 +246,54 @@ def test_engine_perf_regression():
         }
     )
 
+    # ------------------------------------------------------------------
+    # Op 3: a warm positioner warm-up (cached grid geometry, engine LM
+    # refine) against the scipy positioner it replaced. The cold side
+    # (recorded, not gated) is the first warm-up on a new geometry, which
+    # also builds that geometry's fine lattice.
+    # ------------------------------------------------------------------
+    oracle = ScipyPositioner(
+        system.deployment,
+        system.plane,
+        system.wavelength,
+        system.round_trip,
+        system.positioner.config,
+    )
+
+    def cold_warmup():
+        positioning._geometry_cache.clear()
+        return system.positioner.candidates(snapshot)
+
+    _, cold_s = _timed(cold_warmup, repeats=3)  # leaves the geometry cached
+    (engine_picks, engine_s), (oracle_picks, oracle_s) = _timed_interleaved(
+        [
+            lambda: system.positioner.candidates(snapshot),
+            lambda: oracle.candidates(snapshot),
+        ],
+        repeats=7,
+    )
+    assert len(engine_picks) == len(oracle_picks)
+    for mine, theirs in zip(engine_picks, oracle_picks):
+        assert np.linalg.norm(mine.position - theirs.position) < 1e-4
+    results.append(
+        {
+            "op": "positioner_warmup",
+            "pairs": len(snapshot.pairs),
+            "candidates": len(engine_picks),
+            "wall_seconds": engine_s,
+            "wall_seconds_legacy": oracle_s,
+            "speedup": oracle_s / engine_s,
+            "wall_seconds_cold": cold_s,
+        }
+    )
+
     update_bench(results)
 
-    # Conservative floors (measured ≈13× and ≈10× respectively). This
+    # Conservative floors (measured ≈13×, ≈10× and ≈3× respectively). This
     # test is collected by the tier-1 command, so the floors are set low
     # enough that even a throttled shared CI runner clears them; the
     # real measured numbers are what BENCH_engine.json records.
     by_op = {entry["op"]: entry for entry in results}
     assert by_op["total_votes_fine_grid"]["speedup"] >= 2.0
     assert by_op["reconstruct_fig10_clear"]["speedup"] >= 2.0
+    assert by_op["positioner_warmup"]["speedup"] >= 1.5

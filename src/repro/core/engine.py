@@ -15,23 +15,25 @@ reconstruction hot path. The two pillars:
     pair's path difference by column indexing: ``D[:, first] −
     D[:, second]``. One matmul replaces ``2·P`` per-pair norm passes.
 
-``BatchedTracer`` — all candidates at once, no scipy in the loop
+``BatchedTracer`` — all candidates at once, one LM kernel
     The per-step lobe-locked objective is a tiny 2-unknown least-squares
-    problem with a known analytic Jacobian. Instead of one
-    ``scipy.optimize.least_squares`` call per time step per candidate
-    (thousands of Python-callback round-trips per traced word), the
-    batched tracer advances **all** candidate trajectories simultaneously
-    with a closed-form damped Gauss–Newton / IRLS loop: residuals and
-    Jacobians for the whole ``(C, 2)`` position block are evaluated in
-    one shot, robust (soft-L1/Huber/Cauchy) weights are applied as IRLS
-    weights, and the 2×2 normal equations are solved in closed form with
-    per-candidate Levenberg damping. It is the one production tracer;
-    the scipy and grid-search reference tracers it was validated against
-    live with the tests (``tests/oracles``).
+    problem with a known analytic Jacobian. The batched tracer advances
+    **all** candidate trajectories simultaneously with a closed-form
+    damped Gauss–Newton / IRLS loop: residuals and Jacobians for the
+    whole ``(C, 2)`` position block are evaluated in one shot, robust
+    (soft-L1/Huber/Cauchy) weights are applied as IRLS weights, and the
+    2×2 normal equations are solved in closed form with per-candidate
+    Levenberg damping. The same step (with the plain least-squares loss)
+    polishes the positioner's grid picks, so the package carries one
+    Levenberg–Marquardt solver and no scipy. It is the one production
+    tracer; the scipy and grid-search reference tracers and the scipy
+    positioner it was validated against live with the tests
+    (``tests/oracles``).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,6 +106,18 @@ class PairBank:
     def from_deployment(cls, deployment: Deployment, **pair_filters) -> "PairBank":
         """Bank over ``deployment.pairs(**pair_filters)``."""
         return cls(deployment.pairs(**pair_filters))
+
+    def subset(self, indices: list[int]) -> "PairBank":
+        """A bank over ``pairs[i] for i in indices`` on this bank's antenna
+        table, so it reads the same :meth:`distances` columns."""
+        if not indices:
+            raise ValueError("a PairBank needs at least one pair")
+        bank = copy.copy(self)
+        bank.pairs = [self.pairs[i] for i in indices]
+        bank.first_index = self.first_index[indices]
+        bank.second_index = self.second_index[indices]
+        bank._pair_matrix = self._pair_matrix[:, indices]
+        return bank
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -206,10 +220,10 @@ class PairBank:
         raw -= lock_values[np.newaxis, :]
         return raw
 
-    #: Points per block of the chunked vote kernel. Sized so the three
-    #: work buffers (distances, residuals, nearest-integer) stay a few
-    #: MB — inside the L2/L3 working set and cheap to allocate once per
-    #: call instead of paying ~30 MB of fresh page faults per grid.
+    #: Points per block of :meth:`total_votes`. Sized so the work
+    #: buffers (distances, residuals, nearest-integer) stay a few MB —
+    #: inside the L2/L3 working set instead of paying ~30 MB of fresh
+    #: page faults per grid.
     _CHUNK = 16384
 
     def total_votes(
@@ -220,7 +234,12 @@ class PairBank:
         round_trip: float = 2.0,
         locks: dict[tuple[int, int], int] | None = None,
     ) -> np.ndarray:
-        """``(N,)`` summed Eq. 7 votes — the paper's ``V(P)``, batched."""
+        """``(N,)`` summed Eq. 7 votes — the paper's ``V(P)``, batched.
+
+        Two stages per block of points: :meth:`distances`, then
+        :meth:`votes_from_distances` (the vote kernel the positioner also
+        runs on its cached grid distances).
+        """
         if locks is not None:
             # Lobe-locked evaluations come from the tracers, whose point
             # blocks are small; the simple full-size path is fine there.
@@ -228,37 +247,37 @@ class PairBank:
                 delta_phis, points, wavelength, round_trip, locks
             )
             return -np.einsum("np,np->n", residuals, residuals)
+        pts = points_view(points)
+        votes = np.empty(pts.shape[0])
+        for start in range(0, pts.shape[0], self._CHUNK):
+            block = pts[start : start + self._CHUNK]
+            votes[start : start + block.shape[0]] = self.votes_from_distances(
+                delta_phis, self.distances(block), wavelength, round_trip
+            )
+        return votes
+
+    def votes_from_distances(
+        self,
+        delta_phis: np.ndarray,
+        distances: np.ndarray,
+        wavelength: float,
+        round_trip: float = 2.0,
+    ) -> np.ndarray:
+        """``(N,)`` summed Eq. 7 votes from ``(N, A)`` :meth:`distances`.
+
+        The vote half of :meth:`total_votes`: one matmul with the cycles-
+        scaled ±1 pair matrix gives every pair's path difference in
+        cycles, then shift by Δφ/2π, wrap to the nearest integer with
+        ``rint`` (see :meth:`residuals`) and sum the squares.
+        """
         delta_phis = np.asarray(delta_phis, dtype=float)
         if len(self.pairs) != delta_phis.size:
             raise ValueError("need exactly one Δφ per pair")
-        pts = points_view(points)
-        total, n_antennas, n_pairs = pts.shape[0], len(self.antennas), len(self.pairs)
-        cycles_matrix = self._pair_matrix * (round_trip / wavelength)
-        shift = (delta_phis / _TWO_PI)[np.newaxis, :]
-        votes = np.empty(total)
-        chunk = min(total, self._CHUNK) or 1
-        dist = np.empty((chunk, n_antennas))
-        raw = np.empty((chunk, n_pairs))
-        nearest = np.empty((chunk, n_pairs))
-        points_sq = np.empty(chunk)
-        for start in range(0, total, chunk):
-            stop = min(start + chunk, total)
-            m = stop - start
-            block = pts[start:stop]
-            d, r, k = dist[:m], raw[:m], nearest[:m]
-            np.matmul(block, self._neg2_positions_t, out=d)
-            np.einsum("ij,ij->i", block, block, out=points_sq[:m])
-            d += points_sq[:m, np.newaxis]
-            d += self._norms_sq[np.newaxis, :]
-            np.maximum(d, 0.0, out=d)
-            np.sqrt(d, out=d)
-            np.matmul(d, cycles_matrix, out=r)
-            r -= shift
-            np.rint(r, out=k)
-            r -= k
-            np.einsum("np,np->n", r, r, out=votes[start:stop])
-        np.negative(votes, out=votes)
-        return votes
+        raw = distances @ (self._pair_matrix * (round_trip / wavelength))
+        raw -= (delta_phis / _TWO_PI)[np.newaxis, :]
+        raw -= np.rint(raw)
+        votes = np.einsum("np,np->n", raw, raw)
+        return np.negative(votes, out=votes)
 
 
 def batched_lock_lobes(
@@ -616,13 +635,7 @@ class BatchedTracer:
             self.wavelength,
             self.round_trip,
         )  # (C, P)
-        scale = self.round_trip / self.wavelength
-        workspace = _StepWorkspace(
-            bank=bank,
-            plane=self.plane,
-            scale=scale,
-            axes=np.stack([self.plane.u_axis, self.plane.v_axis], axis=1),
-        )
+        workspace = self._workspace(bank)
         config = self.config
         merge_key = (
             type(self),
@@ -631,7 +644,7 @@ class BatchedTracer:
             float(config.max_step),
             int(self.max_iterations),
             float(self.step_tolerance),
-            float(scale),
+            float(workspace.scale),
             *bank.geometry_key(),
         )
         return TraceState(
@@ -642,6 +655,15 @@ class BatchedTracer:
             prune_margin=prune_margin,
             prune_burn_in=prune_burn_in,
             merge_key=merge_key,
+        )
+
+    def _workspace(self, bank: PairBank) -> _StepWorkspace:
+        """The solve constants of ``bank`` on this tracer's plane."""
+        return _StepWorkspace(
+            bank=bank,
+            plane=self.plane,
+            scale=self.round_trip / self.wavelength,
+            axes=np.stack([self.plane.u_axis, self.plane.v_axis], axis=1),
         )
 
     def step(

@@ -11,16 +11,30 @@ Stage 2 — resolution. The widely spaced pairs add their votes on the fine
 grid *within the candidate region only*, and the surviving local maxima are
 the candidate positions (Fig. 6(d)). Each is polished by a lobe-locked
 least-squares step so candidates are not quantised to the grid.
+
+A warm-up does only the work that depends on the phases. The coarse grid
+and the fine lattice (every coarse cell expanded into its fine sub-grid)
+depend only on the plane, the antennas and the :class:`PositionerConfig`,
+so their plane points and antenna distances are computed once and shared
+process-wide (:func:`_grid_geometry`); each stage then gathers the rows of
+the surviving cells and turns distances into votes with
+:meth:`~repro.core.engine.PairBank.votes_from_distances`, the vote kernel
+behind :meth:`~repro.core.engine.PairBank.total_votes`. The polish runs on
+the engine: every pick of a round is refined in one
+:class:`~repro.core.engine.BatchedTracer` Levenberg–Marquardt block (plain
+least squares). The scipy positioner it replaced is the executable
+specification in ``tests/oracles/positioning.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from repro.core.engine import PairBank, batched_lock_lobes
+from repro.core.engine import BatchedTracer, PairBank, batched_lock_lobes
+from repro.core.tracing import TracerConfig
 from repro.geometry.antennas import Deployment
 from repro.geometry.layouts import TIGHT_READER, WIDE_READER
 from repro.geometry.plane import WritingPlane
@@ -45,7 +59,7 @@ class PositionCandidate:
             raise ValueError("candidate positions are 2-D plane coordinates")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PositionerConfig:
     """Tunables of the two-stage voting algorithm.
 
@@ -70,6 +84,79 @@ class PositionerConfig:
             raise ValueError("the fine grid should be finer than the coarse grid")
         if self.candidate_count < 1:
             raise ValueError("need at least one candidate")
+
+
+class _GridGeometry(NamedTuple):
+    """The phase-independent half of a warm-up, for one geometry.
+
+    Attributes:
+        coarse_distances: ``(Nc, A)`` distances from every coarse grid
+            point (row-major over ``(v, u)``, as
+            :meth:`WritingPlane.grid` orders them) to every antenna.
+        fine_uv: ``(Nc, R, 2)`` plane coordinates of each coarse cell's
+            ``ratio × ratio`` fine sub-grid.
+        fine_distances: ``(Nc, R, A)`` their distances to every antenna.
+    """
+
+    coarse_distances: np.ndarray
+    fine_uv: np.ndarray
+    fine_distances: np.ndarray
+
+
+def _build_geometry(
+    plane: WritingPlane, config: PositionerConfig, bank: PairBank
+) -> _GridGeometry:
+    coarse_points, us, vs = plane.grid(
+        config.u_range, config.v_range, config.coarse_step
+    )
+    # Expand every coarse cell into its fine sub-grid.
+    ratio = max(1, int(round(config.coarse_step / config.fine_step)))
+    offsets = (np.arange(ratio) - (ratio - 1) / 2.0) * config.fine_step
+    uu, vv = np.meshgrid(us, vs)
+    centres = np.stack([uu.ravel(), vv.ravel()], axis=1)
+    du, dv = np.meshgrid(offsets, offsets)
+    cell = np.stack([du.ravel(), dv.ravel()], axis=1)
+    fine_uv = centres[:, np.newaxis, :] + cell[np.newaxis, :, :]
+    fine_distances = bank.distances(plane.to_world(fine_uv.reshape(-1, 2)))
+    geometry = _GridGeometry(
+        bank.distances(coarse_points),
+        fine_uv,
+        fine_distances.reshape(*fine_uv.shape[:2], -1),
+    )
+    for array in geometry:  # shared process-wide: read-only
+        array.setflags(write=False)
+    return geometry
+
+
+#: Geometries kept process-wide, most recently used last. Callers that
+#: build a fresh :class:`~repro.core.pipeline.RFIDrawSystem` per word on
+#: the same plane share one entry.
+_GEOMETRY_CACHE_SIZE = 4
+_geometry_cache: dict[tuple, _GridGeometry] = {}
+
+
+def _grid_geometry(
+    plane: WritingPlane, config: PositionerConfig, bank: PairBank
+) -> _GridGeometry:
+    """The cached grid geometry of ``plane``, the grid tunables of
+    ``config`` and the antennas of ``bank`` (in the bank's order)."""
+    key = (
+        plane.origin.tobytes(),
+        plane.u_axis.tobytes(),
+        plane.v_axis.tobytes(),
+        config.u_range,
+        config.v_range,
+        config.coarse_step,
+        config.fine_step,
+        bank.positions.tobytes(),
+    )
+    geometry = _geometry_cache.pop(key, None)
+    if geometry is None:
+        geometry = _build_geometry(plane, config, bank)
+        while len(_geometry_cache) >= _GEOMETRY_CACHE_SIZE:
+            _geometry_cache.pop(next(iter(_geometry_cache)), None)
+    _geometry_cache[key] = geometry
+    return geometry
 
 
 class MultiResolutionPositioner:
@@ -104,6 +191,18 @@ class MultiResolutionPositioner:
         self.config = config or PositionerConfig()
         self.filter_reader = filter_reader
         self.resolution_reader = resolution_reader
+        # The engine's LM step polishes the picks: plain least squares, no
+        # step box and MINPACK's evaluation budget, like the unbounded
+        # polish it replaced (a pick at the grid's edge may converge
+        # outside it; one in the flat valley of a collinear constellation
+        # needs more than a tracer step's 40 iterations).
+        self._tracer = BatchedTracer(
+            plane,
+            wavelength,
+            round_trip,
+            TracerConfig(loss="linear", max_step=np.inf),
+            max_iterations=200,
+        )
 
     # ------------------------------------------------------------------
     # Pair classification
@@ -132,97 +231,98 @@ class MultiResolutionPositioner:
     # ------------------------------------------------------------------
     # Stages
     # ------------------------------------------------------------------
-    def coarse_region(self, snapshot: PhaseSnapshot) -> np.ndarray:
-        """Stage 1a: fine-grid points surviving the wide-beam filter.
+    def _grid_votes(
+        self, snapshot: PhaseSnapshot, bank: PairBank
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Stages 1 and 2 on the cached lattice.
 
-        Returns ``(N, 3)`` world points of the fine grid restricted to the
-        coarse candidate region.
+        ``bank`` is the :class:`PairBank` over all of ``snapshot.pairs``.
+        Returns the ``(N, 2)`` plane points of the fine grid that survive
+        both filter stages and their ``(N,)`` total votes.
         """
         cfg = self.config
-        unique_beam, _, _ = self.split_pairs(snapshot)
+        unique_beam, other_filter, resolution = self.split_pairs(snapshot)
+        if not resolution:
+            raise ValueError("no widely spaced pairs in snapshot")
         if not unique_beam:
             raise ValueError(
                 "no unique-beam (tightly spaced) pairs in snapshot; "
                 "the coarse filter needs them"
             )
-        pairs = [snapshot.pairs[i] for i in unique_beam]
-        phis = snapshot.delta_phi[unique_beam]
+        geometry = _grid_geometry(self.plane, cfg, bank)
 
-        coarse_points, us, vs = self.plane.grid(
-            cfg.u_range, cfg.v_range, cfg.coarse_step
-        )
-        votes = PairBank(pairs).total_votes(
-            phis, coarse_points, self.wavelength, self.round_trip
-        )
-        keep = votes >= votes.max() - cfg.coarse_margin
+        def votes(indices: list[int], distances: np.ndarray) -> np.ndarray:
+            return bank.subset(indices).votes_from_distances(
+                snapshot.delta_phi[indices],
+                distances,
+                self.wavelength,
+                self.round_trip,
+            )
 
-        # Expand each surviving coarse cell into fine-grid points.
-        ratio = max(1, int(round(cfg.coarse_step / cfg.fine_step)))
-        offsets = (np.arange(ratio) - (ratio - 1) / 2.0) * cfg.fine_step
-        uu, vv = np.meshgrid(us, vs)
-        survivors = np.stack([uu.ravel()[keep], vv.ravel()[keep]], axis=1)
-        du, dv = np.meshgrid(offsets, offsets)
-        cell = np.stack([du.ravel(), dv.ravel()], axis=1)
-        fine_uv = (survivors[:, np.newaxis, :] + cell[np.newaxis, :, :]).reshape(
-            -1, 2
-        )
-        return self.plane.to_world(fine_uv)
+        # Stage 1a: the wide beams pick the coarse cells worth expanding.
+        coarse = votes(unique_beam, geometry.coarse_distances)
+        cells = np.flatnonzero(coarse >= coarse.max() - cfg.coarse_margin)
+        distances = geometry.fine_distances[cells].reshape(-1, len(bank.antennas))
+
+        # Stage 1b: refine the region with the remaining filter pairs.
+        filter_votes = votes(unique_beam + other_filter, distances)
+        keep = np.flatnonzero(filter_votes >= filter_votes.max() - cfg.fine_margin)
+
+        # Stage 2: add the high-resolution pairs' votes.
+        total = filter_votes[keep] + votes(resolution, distances[keep])
+        return geometry.fine_uv[cells].reshape(-1, 2)[keep], total
 
     def candidates(
         self, snapshot: PhaseSnapshot, count: int | None = None
     ) -> list[PositionCandidate]:
-        """Run both stages and return candidate positions, best vote first."""
+        """Run both stages and return candidate positions, best vote first.
+
+        Grid points are taken in vote order; a point is skipped when it
+        lies within ``min_candidate_separation`` of an already-picked
+        (refined) candidate. Picks are refined in speculative rounds: the
+        next grid points that look far enough apart are refined in one
+        engine block, then accepted in vote order while each is still the
+        first open point. The solve is row-separable, so the result equals
+        refining one pick at a time.
+        """
         cfg = self.config
         count = cfg.candidate_count if count is None else count
-        unique_beam, other_filter, resolution = self.split_pairs(snapshot)
-        if not resolution:
-            raise ValueError("no widely spaced pairs in snapshot")
-
-        fine_points = self.coarse_region(snapshot)
-
-        # Stage 1b: refine the region with the remaining filter pairs.
-        filter_indices = unique_beam + other_filter
-        filter_pairs = [snapshot.pairs[i] for i in filter_indices]
-        filter_votes = PairBank(filter_pairs).total_votes(
-            snapshot.delta_phi[filter_indices],
-            fine_points,
-            self.wavelength,
-            self.round_trip,
-        )
-        keep = filter_votes >= filter_votes.max() - cfg.fine_margin
-        fine_points = fine_points[keep]
-        filter_votes = filter_votes[keep]
-
-        # Stage 2: add the high-resolution pairs' votes.
-        res_pairs = [snapshot.pairs[i] for i in resolution]
-        votes = filter_votes + PairBank(res_pairs).total_votes(
-            snapshot.delta_phi[resolution],
-            fine_points,
-            self.wavelength,
-            self.round_trip,
-        )
-
+        bank = PairBank(snapshot.pairs)
+        grid_uv, votes = self._grid_votes(snapshot, bank)
         order = np.argsort(votes)[::-1]
+        grid_uv = grid_uv[order]
+        votes = votes[order]
+        us = np.ascontiguousarray(grid_uv[:, 0])
+        vs = np.ascontiguousarray(grid_uv[:, 1])
+
+        def outside(position: np.ndarray) -> np.ndarray:
+            du = us - position[0]
+            dv = vs - position[1]
+            return np.sqrt(du * du + dv * dv) >= cfg.min_candidate_separation
+
+        # open_[i]: the i-th grid point in vote order is not picked and
+        # lies outside the separation radius of every picked candidate.
+        open_ = np.ones(order.size, dtype=bool)
         picked: list[PositionCandidate] = []
-        plane_uv = self.plane.to_plane(fine_points)
-        # One bank over every pair, shared by all candidate refinements.
-        refine_bank = PairBank(snapshot.pairs) if cfg.refine_candidates else None
-        for index in order:
-            point = plane_uv[index]
-            if any(
-                np.linalg.norm(point - chosen.position)
-                < cfg.min_candidate_separation
-                for chosen in picked
-            ):
-                continue
-            candidate = PositionCandidate(point, float(votes[index]))
-            if refine_bank is not None:
-                candidate = self._refine(
-                    candidate, refine_bank, snapshot.delta_phi
+        while len(picked) < count and open_.any():
+            batch: list[int] = []
+            guess = open_.copy()
+            while len(batch) < count - len(picked) and guess.any():
+                batch.append(int(guess.argmax()))
+                guess &= outside(grid_uv[batch[-1]])
+                guess[batch[-1]] = False
+            if cfg.refine_candidates:
+                refined, refined_votes = self._refine_many(
+                    bank, snapshot.delta_phi, grid_uv[batch]
                 )
-            picked.append(candidate)
-            if len(picked) >= count:
-                break
+            else:
+                refined, refined_votes = grid_uv[batch], votes[batch]
+            for index, position, vote in zip(batch, refined, refined_votes):
+                if index != open_.argmax():
+                    break  # a guess went wrong: the next round restarts here
+                picked.append(PositionCandidate(position, float(vote)))
+                open_[index] = False
+                open_ &= outside(position)
         return picked
 
     def locate(self, snapshot: PhaseSnapshot) -> PositionCandidate:
@@ -233,38 +333,24 @@ class MultiResolutionPositioner:
     # ------------------------------------------------------------------
     # Sub-grid refinement
     # ------------------------------------------------------------------
-    def _refine(
-        self,
-        candidate: PositionCandidate,
-        bank: PairBank,
-        delta_phis: np.ndarray,
-    ) -> PositionCandidate:
-        """Polish a grid candidate by lobe-locked least squares.
+    def _refine_many(
+        self, bank: PairBank, delta_phis: np.ndarray, starts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Polish ``(K, 2)`` grid picks by lobe-locked least squares.
 
-        The residual vector is evaluated through the engine's
-        :class:`PairBank` — one distance-matrix evaluation per solver
-        callback instead of a per-pair Python list comprehension.
+        Each pick is locked to the grating lobe of every pair nearest its
+        grid point, then all picks are solved in one engine LM block.
+        Returns the ``(K, 2)`` refined positions and their ``(K,)`` Eq. 7
+        votes.
         """
-        scale = self.round_trip / self.wavelength
-        shift = np.asarray(delta_phis, dtype=float) / (2.0 * np.pi)
-        start_world = self.plane.to_world(candidate.position)
         locks = batched_lock_lobes(
-            bank, delta_phis, start_world, self.wavelength, self.round_trip
-        )[0]
-        targets = shift + locks
-
-        def residuals(uv: np.ndarray) -> np.ndarray:
-            world = self.plane.to_world(uv)
-            return (
-                scale * bank.path_differences(world[np.newaxis, :])[0] - targets
-            )
-
-        solution = least_squares(
-            residuals,
-            candidate.position,
-            method="lm",
-            xtol=1e-10,
-            ftol=1e-10,
+            bank,
+            delta_phis,
+            self.plane.to_world(starts),
+            self.wavelength,
+            self.round_trip,
         )
-        vote = float(-np.sum(np.square(solution.fun)))
-        return PositionCandidate(solution.x, vote)
+        shift = np.asarray(delta_phis, dtype=float) / (2.0 * np.pi)
+        targets = shift[np.newaxis, :] + locks
+        tracer = self._tracer
+        return tracer._solve_step(tracer._workspace(bank), targets, starts)

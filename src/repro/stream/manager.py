@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterable
@@ -374,6 +376,12 @@ class SessionManager:
         self.skipped_log_lines = 0
         self.injected_counters: dict[str, int] = {}
         self.last_report_time: dict[str, float] = {}
+        # (idle-clock reading, epc), one entry per tag with a clock. The
+        # idle sweep pops only entries older than the cutoff: a tag that
+        # reported since goes back in with its newer clock, a closed one
+        # is dropped. So the sweep costs O(evicted) per report, not
+        # O(open sessions), and only a tag's first report pays a push.
+        self._idle_heap: list[tuple[float, str]] = []
         self.evicted_epcs: list[str] = []
         self.evicted_count = 0
         # Accumulated tallies of sessions shed under retain_results, so
@@ -385,8 +393,7 @@ class SessionManager:
         self._shed_foreign = 0
         self._closed: set[str] = set()
         # Insertion-ordered registry of sessions believed open, purged
-        # lazily — the per-report idle sweep walks this, not the full
-        # (ever-growing) session map.
+        # lazily; evictions fire in this (session-open) order.
         self._open: dict[str, None] = {}
         self._frontier = float("-inf")
         self.on_session_started: Callable[[SessionEvent], None] | None = None
@@ -503,15 +510,21 @@ class SessionManager:
             # so the sweep is skipped for same-or-older timestamps.
             self._frontier = report.time
             cutoff = self._frontier - idle_timeout
-            stale = [
-                epc
-                for epc in self.open_epcs()
-                if epc in self.last_report_time
-                and self.last_report_time[epc] < cutoff
-            ]
-            for epc in stale:
-                self._flush(epc, events, pending)
-                events.append(self.evict(epc))
+            heap = self._idle_heap
+            stale: set[str] = set()
+            while heap and heap[0][0] < cutoff:
+                _, epc = heapq.heappop(heap)
+                clock = self.last_report_time.get(epc)
+                if clock is None or not self._is_open(epc):
+                    continue
+                if clock < cutoff:
+                    stale.add(epc)
+                else:
+                    heapq.heappush(heap, (clock, epc))
+            if stale:
+                for epc in [e for e in self._open if e in stale]:
+                    self._flush(epc, events, pending)
+                    events.append(self.evict(epc))
         epc = report.epc_hex
         session = self.sessions.get(epc)
         if session is None:
@@ -536,6 +549,15 @@ class SessionManager:
         previous = self.last_report_time.get(epc)
         if previous is None or report.time > previous:
             self.last_report_time[epc] = report.time
+            # A NaN clock never ages out (NaN < cutoff is false, and no
+            # later time exceeds it), and in the heap it would break the
+            # ordering every sweep relies on.
+            if (
+                previous is None
+                and idle_timeout is not None
+                and not math.isnan(report.time)
+            ):
+                heapq.heappush(self._idle_heap, (report.time, epc))
         samples = session._prepare(report)
         if samples:
             pending.setdefault(epc, []).extend(samples)
@@ -581,11 +603,20 @@ class SessionManager:
         """
         open_list = []
         for epc in list(self._open):
-            if epc in self._closed or self.sessions[epc].result is not None:
-                del self._open[epc]
-            else:
+            if self._is_open(epc):
                 open_list.append(epc)
+            else:
+                del self._open[epc]
         return open_list
+
+    def _is_open(self, epc: str) -> bool:
+        """Whether ``epc`` has a session that is neither finalized nor
+        evicted (one finalized out of band included)."""
+        return (
+            epc in self._open
+            and epc not in self._closed
+            and self.sessions[epc].result is None
+        )
 
     def evict(self, epc_hex: str) -> SessionEvent:
         """Force-evict one tag: finalize its session and close it for good.

@@ -18,8 +18,11 @@ def ideal_pair_series(deployment, plane, points_uv, times, wavelength):
     return series
 
 
-def ideal_snapshot(deployment, plane, point_uv, wavelength):
-    """Noise-free wrapped phase snapshot of a static source (helper)."""
+def ideal_snapshot(deployment, plane, point_uv, wavelength, round_trip=2.0):
+    """Noise-free wrapped phase snapshot of a static source (helper).
+
+    ``round_trip`` is 2 for backscatter and 1 for a one-way transmitter.
+    """
     from repro.rf.phase import wrap_to_pi
     from repro.rfid.sampling import PhaseSnapshot
 
@@ -30,6 +33,8 @@ def ideal_snapshot(deployment, plane, point_uv, wavelength):
         d_first = pair.first.distance_to(world)
         d_second = pair.second.distance_to(world)
         delta.append(
-            wrap_to_pi(-2.0 * np.pi * 2.0 * (d_second - d_first) / wavelength)
+            wrap_to_pi(
+                -2.0 * np.pi * round_trip * (d_second - d_first) / wavelength
+            )
         )
     return PhaseSnapshot(pairs, np.array(delta))

@@ -7,6 +7,7 @@ package carries only the vectorized engines.
 """
 
 from tests.oracles.inventory import InventoryRound, inventory_reference
+from tests.oracles.positioning import ScipyPositioner
 from tests.oracles.tracing import (
     GridTracer,
     TrajectoryTracer,
@@ -18,6 +19,7 @@ from tests.oracles.voting import total_votes_reference
 __all__ = [
     "GridTracer",
     "InventoryRound",
+    "ScipyPositioner",
     "TrajectoryTracer",
     "inventory_reference",
     "lock_lobes",

@@ -332,6 +332,36 @@ class TestEviction:
         assert len(manager.open_epcs()) == 1
         assert manager.open_epcs() == [second_epc]
 
+    @pytest.mark.parametrize("burst", [False, True])
+    def test_multi_eviction_follows_session_open_order(self, two_tag_world, burst):
+        """Several tags going stale on one frontier advance are evicted in
+        session-open order, not in the order of their last reports."""
+        from repro.rfid.reader import PhaseReport
+
+        system, *_ = two_tag_world
+        manager = SessionManager(
+            system,
+            config=CONFIG.with_updates(idle_timeout=0.5),
+        )
+        first, second, third, late = "A1" * 12, "B2" * 12, "C3" * 12, "D4" * 12
+        # Opened first → second → third; last reports third → second → first.
+        stream = [
+            PhaseReport(0.00, first, 1, 1, 1.0, -60.0),
+            PhaseReport(0.01, second, 1, 1, 1.0, -60.0),
+            PhaseReport(0.10, third, 1, 1, 1.0, -60.0),
+            PhaseReport(0.20, second, 1, 2, 1.0, -60.0),
+            PhaseReport(0.30, first, 1, 2, 1.0, -60.0),
+        ]
+        manager.extend(stream)
+        assert manager.evicted_epcs == []
+        wake = PhaseReport(2.0, late, 1, 1, 1.0, -60.0)
+        events = manager.ingest_burst([wake]) if burst else manager.ingest(wake)
+        assert manager.evicted_epcs == [first, second, third]
+        assert [
+            e.epc_hex for e in events if e.type is SessionEventType.EVICTED
+        ] == [first, second, third]
+        assert manager.open_epcs() == [late]
+
     def test_eviction_knob_validation(self, two_tag_world):
         system, *_ = two_tag_world
         with pytest.raises(ValueError, match="idle_timeout"):
@@ -416,6 +446,26 @@ class TestIdleClockMonotonicity:
         # Past 1.00 + timeout it genuinely idled out.
         manager.ingest(PhaseReport(1.55, other, 1, 3, 1.0, -60.0))
         assert manager.evicted_epcs == [tag]
+
+    def test_nan_report_time_does_not_stall_the_sweep(self, two_tag_world):
+        """A tag whose first report carries a NaN time never ages out, and
+        other tags still idle out on schedule."""
+        from repro.rfid.reader import PhaseReport
+
+        system, *_ = two_tag_world
+        manager = SessionManager(
+            system,
+            config=CONFIG.with_updates(idle_timeout=0.5),
+        )
+        broken, tag, other = "EE" * 12, "AA" * 12, "BB" * 12
+        manager.ingest(PhaseReport(float("nan"), broken, 1, 1, 1.0, -60.0))
+        manager.ingest(PhaseReport(0.10, tag, 1, 1, 1.0, -60.0))
+        manager.ingest(PhaseReport(0.20, other, 1, 1, 1.0, -60.0))
+        manager.ingest(PhaseReport(0.65, other, 1, 2, 1.0, -60.0))
+        assert manager.evicted_epcs == [tag]
+        manager.ingest(PhaseReport(5.0, "CC" * 12, 1, 1, 1.0, -60.0))
+        assert manager.evicted_epcs == [tag, other]
+        assert broken in manager.open_epcs()
 
 
 class TestRetainResults:
