@@ -1,11 +1,16 @@
 """Shared I/O for the performance-regression harness.
 
-Several benchmark modules contribute entries to the single committed
-``BENCH_engine.json`` at the repo root. Each entry is keyed by its
-``op`` name; :func:`update_bench` merges fresh measurements into the
-file without clobbering entries owned by other modules, so the suites
-can run in any order (or individually) and the CI regression gate sees
-one consolidated document.
+Several benchmark modules contribute entries to one benchmark
+document. Each entry is keyed by its ``op`` name; :func:`update_bench`
+merges fresh measurements into the file without clobbering entries
+owned by other modules, so the suites can run in any order (or
+individually) and the CI regression gate sees one consolidated document.
+
+The suites write the gitignored ``BENCH_engine.fresh.json`` at the repo
+root, never the committed baseline ``BENCH_engine.json``: running them
+(the local tier-1 command collects them) measures, it does not
+re-baseline. To refresh the baseline after an intentional change, copy
+the fresh file over the committed one.
 """
 
 from __future__ import annotations
@@ -16,11 +21,15 @@ from pathlib import Path
 
 import numpy as np
 
+#: The committed baseline the CI regression gate compares against.
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+#: Where the suites write their measurements (gitignored).
+FRESH_PATH = BENCH_PATH.with_name("BENCH_engine.fresh.json")
 
 
-def update_bench(results: list[dict], path: Path = BENCH_PATH) -> None:
-    """Merge ``results`` (keyed by ``op``) into the benchmark JSON."""
+def update_bench(results: list[dict], path: Path = FRESH_PATH) -> None:
+    """Merge ``results`` (keyed by ``op``) into the benchmark JSON at
+    ``path`` (default: the fresh file, not the committed baseline)."""
     existing: list[dict] = []
     if path.exists():
         try:

@@ -1,7 +1,7 @@
 """CI benchmark-regression gate.
 
-Compares a freshly measured ``BENCH_engine.json`` against the committed
-baseline and fails (exit code 1) when any op's ``wall_seconds`` regressed
+Compares a freshly measured ``BENCH_engine.fresh.json`` against the
+committed ``BENCH_engine.json`` baseline and fails (exit code 1) when any op's ``wall_seconds`` regressed
 by more than the allowed fraction. Ops present in the baseline but
 missing from the fresh run also fail — a silently dropped benchmark is a
 regression of the harness itself. New ops (present only in the fresh
@@ -10,8 +10,8 @@ run) are reported and allowed.
 Usage (what ``.github/workflows/ci.yml`` runs)::
 
     python benchmarks/check_bench_regression.py \
-        --baseline BENCH_engine.committed.json \
-        --fresh BENCH_engine.json \
+        --baseline BENCH_engine.json \
+        --fresh BENCH_engine.fresh.json \
         --max-regression 0.30 \
         --normalize-machine
 
@@ -23,12 +23,14 @@ others still trips the gate (the median is robust as long as fewer than
 half the ops regress at once). Omit the flag when baseline and fresh
 numbers come from the same machine.
 
-To refresh the committed baseline after an intentional change (or a
-hardware change), run the benchmark suites locally and commit the
-rewritten ``BENCH_engine.json``::
+The benchmark suites write ``BENCH_engine.fresh.json`` (gitignored) and
+never touch the committed baseline. To refresh the baseline after an
+intentional change (or a hardware change), run the suites locally, then
+copy the fresh file over the committed one and commit it::
 
-    PYTHONPATH=src python -m pytest benchmarks/test_perf_engine.py \
-        benchmarks/test_perf_channel.py benchmarks/test_perf_stream.py -q
+    rm -f BENCH_engine.fresh.json
+    PYTHONPATH=src python -m pytest benchmarks/test_perf_*.py -q
+    cp BENCH_engine.fresh.json BENCH_engine.json
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ def load_ops(path: Path) -> dict[str, dict]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", type=Path, required=True,
-                        help="committed BENCH_engine.json")
+                        help="committed baseline (BENCH_engine.json)")
     parser.add_argument("--fresh", type=Path, required=True,
-                        help="freshly measured BENCH_engine.json")
+                        help="fresh measurements "
+                             "(BENCH_engine.fresh.json)")
     parser.add_argument("--max-regression", type=float, default=0.30,
                         help="allowed fractional wall-seconds increase "
                              "per op (default 0.30 = +30%%)")
@@ -135,8 +138,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  - {failure}", file=sys.stderr)
         print(
             "\nIf the slowdown is intentional (or the runner hardware "
-            "changed), refresh the baseline by re-running the benchmark "
-            "suites and committing the rewritten BENCH_engine.json.",
+            "changed), refresh the baseline: re-run the benchmark suites, "
+            "then copy the fresh file over the committed one.",
             file=sys.stderr,
         )
         return 1

@@ -5,7 +5,7 @@ across a full deployment, and an end-to-end ``simulate_word`` (whose
 measurement path is dominated by channel synthesis) — against the loop
 reference (``BackscatterChannel`` per-path loops driven one report at a
 time by ``tests.oracles.inventory_reference``), and merges
-machine-readable results into ``BENCH_engine.json`` alongside the
+machine-readable results into ``BENCH_engine.fresh.json`` alongside the
 voting/tracing entries.
 
 The asserted floors are deliberately far below the measured speedups

@@ -4,7 +4,7 @@ Times the hot operations the engine replaced — Eq. 7 voting over the
 positioner's fine grid, a full ``RFIDrawSystem.reconstruct`` of the
 fig10 "clear" word, and a warm positioner warm-up — against faithful
 replicas of the earlier implementations, and records machine-readable results in
-``BENCH_engine.json`` at the repo root so future PRs can track the
+``BENCH_engine.fresh.json`` at the repo root so later changes can track the
 trajectory:
 
     [{"op": ..., "wall_seconds": ..., "wall_seconds_legacy": ...,
@@ -292,7 +292,7 @@ def test_engine_perf_regression():
     # Conservative floors (measured ≈13×, ≈10× and ≈3× respectively). This
     # test is collected by the tier-1 command, so the floors are set low
     # enough that even a throttled shared CI runner clears them; the
-    # real measured numbers are what BENCH_engine.json records.
+    # real measured numbers are what the bench file records.
     by_op = {entry["op"]: entry for entry in results}
     assert by_op["total_votes_fine_grid"]["speedup"] >= 2.0
     assert by_op["reconstruct_fig10_clear"]["speedup"] >= 2.0

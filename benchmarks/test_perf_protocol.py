@@ -1,7 +1,7 @@
 """Performance harness for the vectorized protocol + batched reconstruction.
 
 Times the two operations PR 5 vectorized and merges them into
-``BENCH_engine.json`` next to the engine/channel/stream entries:
+``BENCH_engine.fresh.json`` next to the engine/channel/stream entries:
 
 * ``protocol_round_sweep`` — framed-ALOHA rounds over a tag population
   with an over-provisioned frame (``Q = 8``, the empty-slot-dominated

@@ -4,7 +4,7 @@ Times the two hot operations of the recognition subsystem against
 faithful replicas of the pre-subsystem code path — a Python loop of
 scalar ``dtw_distance`` calls with the same adaptive early-abandon the
 old ``WordRecognizer`` used — and merges machine-readable results into
-``BENCH_engine.json`` alongside the engine/channel/stream entries:
+``BENCH_engine.fresh.json`` alongside the engine/channel/stream entries:
 
 - ``recognize_word_100k`` — one end-to-end warm recognition against the
   100 000-word deterministic lexicon: feature-index shortlist, cached

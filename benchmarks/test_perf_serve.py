@@ -3,7 +3,7 @@
 Day-long-soak-shaped workload, compressed: the deterministic synthetic
 fleet (24 staggered tags, geometric phases) from
 :mod:`repro.serve.workload`, measured two ways and merged into
-``BENCH_engine.json`` under the same regression gate as every other op:
+``BENCH_engine.fresh.json`` under the same regression gate as every other op:
 
 * ``serve_batched_step`` — the same ``SessionManager`` fed the same
   stream report-by-report (``ingest``) vs. in bursts
@@ -23,8 +23,6 @@ fleet (24 staggered tags, geometric phases) from
 from __future__ import annotations
 
 import os
-
-import numpy as np
 
 from repro.serve import serve_reports
 from repro.serve.workload import fleet_system, synthetic_fleet

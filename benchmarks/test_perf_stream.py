@@ -1,7 +1,7 @@
 """Performance harness for the streaming session API.
 
 Measures the costs a live deployment cares about and merges them into
-``BENCH_engine.json`` (same file, same regression gate as the
+``BENCH_engine.fresh.json`` (same file, same regression gate as the
 engine/channel ops):
 
 * ``stream_ingest_per_report`` — amortized wall time to fold one phase

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.geometry.antennas import Antenna, AntennaPair, Deployment
+from repro.geometry.antennas import Antenna, AntennaPair
 from repro.geometry.plane import WritingPlane
 from repro.geometry.vectors import points_view
 from repro.rf.constants import DEFAULT_WAVELENGTH
@@ -101,11 +101,6 @@ class PairBank:
     def from_series(cls, series) -> "PairBank":
         """Bank over the pairs of a ``list[PairSeries]`` (same order)."""
         return cls([entry.pair for entry in series])
-
-    @classmethod
-    def from_deployment(cls, deployment: Deployment, **pair_filters) -> "PairBank":
-        """Bank over ``deployment.pairs(**pair_filters)``."""
-        return cls(deployment.pairs(**pair_filters))
 
     def subset(self, indices: list[int]) -> "PairBank":
         """A bank over ``pairs[i] for i in indices`` on this bank's antenna
@@ -483,7 +478,9 @@ class TraceState:
 def check_series(series) -> None:
     """Reject pair series that cannot be traced: none, empty, or not on
     one shared timeline (the precondition of :meth:`BatchedTracer.trace_all`
-    and :meth:`repro.stream.session.TrackingSession.ingest_series`)."""
+    and of a session's series mode, which the batch facade
+    :func:`repro.core.pipeline.reconstruct_many` and the degenerate-stream
+    fallback of :meth:`repro.stream.session.TrackingSession.finalize` use)."""
     if not series:
         raise ValueError("no pair series given")
     length = len(series[0])

@@ -114,9 +114,10 @@ class RFIDrawSystem:
     ) -> ReconstructionResult:
         """Run the full pipeline on per-pair phase series.
 
-        This is now a thin batch facade over the streaming core: the
-        series is streamed instant-by-instant through a
-        :class:`repro.stream.session.TrackingSession` and finalized —
+        This is a thin batch facade over the streaming core: the
+        one-word case of :func:`reconstruct_many`, which streams the
+        series instant-by-instant through a
+        :class:`repro.stream.session.TrackingSession` and finalizes it —
         the streaming path is authoritative, batch is just "feed
         everything, then finalize".
 
@@ -130,14 +131,7 @@ class RFIDrawSystem:
             A :class:`ReconstructionResult` with the chosen trajectory and
             all per-candidate diagnostics.
         """
-        from repro.stream.config import SessionConfig
-        from repro.stream.session import TrackingSession
-
-        session = TrackingSession(
-            self, config=SessionConfig(candidate_count=candidate_count)
-        )
-        session.ingest_series(series)
-        return session.finalize()
+        return reconstruct_many([(self, series)], candidate_count)[0]
 
     def reconstruct_log(
         self,
@@ -178,8 +172,7 @@ class RFIDrawSystem:
         Pass the tunables as ``config``
         (:class:`repro.stream.SessionConfig`, default ``SessionConfig()``)
         — ``prune_margin`` / ``prune_burn_in`` tune steady-state
-        candidate pruning, ``out_of_order`` the dirty-input policy,
-        ``retain_reports=False`` bounds memory on healthy streams; the
+        candidate pruning, ``out_of_order`` the dirty-input policy; the
         manager-level fields (``idle_timeout`` etc.) are ignored here.
         ``epc_hex=`` / ``pairs=`` are the session's identity, not
         policy (see :class:`~repro.stream.session.TrackingSession`)."""
@@ -261,6 +254,5 @@ def reconstruct_many(
     for system, series in items:
         session = TrackingSession(system, config=config)
         queues.append((session, session._prepare_series(list(series))))
-    for _ in step_sessions(queues):
-        pass
+    step_sessions(queues)
     return [session.finalize() for session, _ in queues]

@@ -170,14 +170,6 @@ class Lexicon:
                 features=np.asarray(archive["features"], dtype=np.float32),
             )
 
-    @classmethod
-    def from_words(
-        cls, words, font: StrokeFont | None = None
-    ) -> "Lexicon":
-        """Build a lexicon from an explicit word list, in given order."""
-        words = tuple(dict.fromkeys(words))
-        return cls(words=words, features=template_features(words, font=font))
-
 
 # ----------------------------------------------------------------------
 # Assembled template paths → shape features

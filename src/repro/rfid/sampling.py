@@ -141,9 +141,6 @@ class PairSeries:
     def __len__(self) -> int:
         return int(self.times.size)
 
-    def at_index(self, index: int) -> float:
-        return float(self.delta_phi[index])
-
 
 @dataclass
 class PhaseSnapshot:

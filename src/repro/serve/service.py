@@ -97,10 +97,8 @@ class ServiceReplay:
     events: list = field(default_factory=list)
 
 
-def _mp_context(start_method: str | None):
+def _mp_context():
     """Prefer ``fork`` (copy-on-write system, no pickling) when offered."""
-    if start_method is not None:
-        return multiprocessing.get_context(start_method)
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else methods[0]
@@ -148,8 +146,8 @@ class TrackingService:
             classifies trajectories at finalize. Recognitions ride the
             FINALIZED events; classification counters merge into the
             drained :class:`ManagerStats`.
-        start_method: ``multiprocessing`` start method override
-            (defaults to ``fork`` where available).
+
+    Workers start with ``fork`` where the platform offers it.
     """
 
     def __init__(
@@ -163,7 +161,6 @@ class TrackingService:
         event_queue_size: int = 4096,
         emit_points: bool = True,
         recognizer_factory=None,
-        start_method: str | None = None,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be at least 1")
@@ -179,7 +176,7 @@ class TrackingService:
         self.event_queue_size = event_queue_size
         self.emit_points = emit_points
         self.recognizer_factory = recognizer_factory
-        self._ctx = _mp_context(start_method)
+        self._ctx = _mp_context()
         self._started = False
         self._stopped = False
         self._error: ShardError | None = None

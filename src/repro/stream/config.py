@@ -43,9 +43,6 @@ class SessionConfig:
             arrivals and non-finite phases from a flaky reader are
             counted in the resampler's ``dropped_reports`` and skipped
             instead of killing the session).
-        retain_reports: keep raw reports so degenerate streams can fall
-            back to the batch builder at finalize. Disable for bounded
-            memory on healthy long-running streams.
         prune_margin: steady-state cost knob — drop trace candidates
             whose running vote sum trails the leader's by more than this
             margin, shrinking the per-step batched solve. Safe for any
@@ -76,7 +73,6 @@ class SessionConfig:
     min_reads_per_antenna: int = 4
     candidate_count: int | None = None
     out_of_order: str = "raise"
-    retain_reports: bool = True
     prune_margin: float | None = None
     prune_burn_in: int = 8
     idle_timeout: float | None = None

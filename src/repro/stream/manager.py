@@ -19,11 +19,10 @@ the manager by streaming the *file* lazily
 (:func:`repro.io.logs.iter_phase_log`) with bounded per-report work —
 the offline test harness for the streaming stack and the migration path
 for existing recorded sessions. (The sessions themselves still
-accumulate per-antenna and per-step history for ``finalize()``, plus the
-raw reports unless the config sets ``retain_reports=False``; a
-``retain_results`` cap makes each session release those buffers the
-moment it finalizes and sheds the oldest finalized sessions entirely,
-so even an unbounded replay holds bounded memory.)
+accumulate per-antenna and per-step history and the raw reports for
+``finalize()``; a ``retain_results`` cap makes each session release
+those buffers the moment it finalizes and sheds the oldest finalized
+sessions entirely, so even an unbounded replay holds bounded memory.)
 
 For always-on deployments the manager also bounds its own state: an
 ``idle_timeout`` auto-finalizes (``EVICTED`` + ``FINALIZED`` events) any
@@ -441,7 +440,7 @@ class SessionManager:
         events: list[SessionEvent] = []
         pending: dict[str, list] = {}
         self._route(report, events, pending)
-        self._flush(report.epc_hex, events, pending)
+        self._flush(pending, events)
         return events
 
     def ingest_burst(self, reports: Iterable[PhaseReport]) -> list[SessionEvent]:
@@ -464,9 +463,15 @@ class SessionManager:
         order :meth:`ingest` would emit; *across* tags the burst emits
         eviction events at their routing positions first, then points
         in round-robin (sample-round) order rather than report order.
-        A session evicted mid-burst has its collected samples applied
-        (sequentially) before its ``FINALIZED``/``EVICTED`` events fire,
-        so no point is lost or reordered against its own lifecycle.
+        A session evicted mid-burst has its collected samples stepped
+        (and their ``POINT`` events fired) before its
+        ``FINALIZED``/``EVICTED`` events fire, so no point is lost or
+        reordered against its own lifecycle. Every collected sample is
+        stepped before the ``on_point`` callbacks of its batch fire, so
+        a callback that raises loses those events for the caller but
+        never leaves a session behind its resampler: the caller may
+        catch the error and keep feeding reports, and every tag's
+        points and result stay what :meth:`ingest` would give.
 
         Returns:
             The produced events (``EVICTED`` + ``POINT``; ``STARTED``
@@ -484,9 +489,7 @@ class SessionManager:
             # emitted must reach the tracer or the session would be
             # permanently out of sync — mirroring how the sequential
             # path fully applies every report before the failing one.
-            queues = [(self.sessions[epc], samples) for epc, samples in pending.items()]
-            for session, point in step_sessions(queues):
-                self._emit_point(session.epc_hex, session, point, events)
+            self._flush(pending, events)
         return events
 
     def _route(
@@ -523,7 +526,7 @@ class SessionManager:
                     heapq.heappush(heap, (clock, epc))
             if stale:
                 for epc in [e for e in self._open if e in stale]:
-                    self._flush(epc, events, pending)
+                    self._flush({epc: pending.pop(epc, [])}, events)
                     events.append(self.evict(epc))
         epc = report.epc_hex
         session = self.sessions.get(epc)
@@ -537,7 +540,7 @@ class SessionManager:
                     open_epcs,
                     key=lambda e: self.last_report_time.get(e, float("-inf")),
                 )
-                self._flush(oldest, events, pending)
+                self._flush({oldest: pending.pop(oldest, [])}, events)
                 events.append(self.evict(oldest))
             session = self.session_for(epc)
         if epc in self._closed or session.result is not None:
@@ -563,32 +566,23 @@ class SessionManager:
             pending.setdefault(epc, []).extend(samples)
 
     def _flush(
-        self, epc: str, events: list[SessionEvent], pending: dict[str, list]
+        self, pending: dict[str, list], events: list[SessionEvent]
     ) -> None:
-        """Step one tag's queued samples one by one — the sequential
-        path, bit-identical to the merged one.
+        """Step every queued sample, then fire ``on_point`` for each.
 
-        Every sample is stepped before any ``on_point`` callback fires,
-        so a raising callback cannot leave the session behind its
-        resampler.
+        The one way the manager advances its sessions: all queues of
+        ``pending`` go through :func:`repro.stream.session.step_sessions`
+        together (merged rounds, bit-identical to stepping each tag
+        alone) and ``pending`` is emptied. The callbacks fire only after
+        that, in the returned order, so a raising callback cannot leave
+        a session behind its resampler.
         """
-        samples = pending.pop(epc, None)
-        if samples:
-            session = self.sessions[epc]
-            points = [session._on_sample(sample) for sample in samples]
-            for point in points:
-                self._emit_point(epc, session, point, events)
-
-    def _emit_point(
-        self,
-        epc: str,
-        session: TrackingSession,
-        point: TrajectoryPoint,
-        events: list[SessionEvent],
-    ) -> None:
-        event = PointEmitted(epc, session, point=point)
-        self._fire(self.on_point, event)
-        events.append(event)
+        queues = [(self.sessions[epc], samples) for epc, samples in pending.items()]
+        pending.clear()
+        for session, point in step_sessions(queues):
+            event = PointEmitted(session.epc_hex, session, point=point)
+            self._fire(self.on_point, event)
+            events.append(event)
 
     # ------------------------------------------------------------------
     # Eviction
@@ -835,11 +829,10 @@ class SessionManager:
 
         Reads the log lazily (:func:`repro.io.logs.iter_phase_log`) —
         constant memory for the file itself and bounded work per report.
-        The per-tag sessions do retain tracking history (and, by
-        default, the raw reports) until finalized; set
-        ``retain_reports=False`` in the config to shed the largest share
-        of that, and ``retain_results`` to bound the closed-session
-        history on long logs.
+        The per-tag sessions do retain tracking history and the raw
+        reports until finalized; set ``retain_results`` in the config to
+        release them at finalize and bound the closed-session history
+        on long logs.
 
         Args:
             path: the JSONL phase log.

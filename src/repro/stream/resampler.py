@@ -170,11 +170,6 @@ class StreamResampler:
 
     # ------------------------------------------------------------------
     @property
-    def dropped_out_of_order(self) -> int:
-        """The stale-arrival subset of :attr:`dropped_reports`."""
-        return self.dropped_reports - self.dropped_nonfinite
-
-    @property
     def started(self) -> bool:
         """True once the timeline origin is fixed and emission may begin."""
         return self._start is not None
@@ -182,10 +177,6 @@ class StreamResampler:
     @property
     def start_time(self) -> float | None:
         return self._start
-
-    @property
-    def emitted_count(self) -> int:
-        return self._next_index
 
     def time_of(self, index: int) -> float:
         """Timeline instant ``index``, with the batch path's float ops."""

@@ -14,7 +14,14 @@ The design invariant, enforced by ``tests/test_stream_session.py``:
 feeding a finished log report-by-report and calling :meth:`finalize`
 produces the *same* :class:`~repro.core.pipeline.ReconstructionResult` as
 the batch ``RFIDrawSystem.reconstruct`` on that log — the batch facade is
-in fact implemented on top of this class (:meth:`ingest_series`).
+in fact implemented on top of this class: ``reconstruct`` runs through
+:func:`repro.core.pipeline.reconstruct_many`, which feeds each word's
+series to a session in series mode.
+
+Every path that advances a session steps it through :func:`step_sessions`,
+the one grouped stepper: per-report :meth:`TrackingSession.ingest`, the
+finalize tail, the degenerate-stream fallback, the batch facade and the
+manager's ingest paths.
 
 Lifecycle::
 
@@ -23,9 +30,10 @@ Lifecycle::
 
 Degenerate streams (an antenna that never reaches the minimum read
 count, or a log too short for the timeline to start) fall back, at
-finalize time, to the batch series builder over the retained reports —
-so the session never answers differently from the batch path, it only
-answers *earlier* when the stream is healthy.
+finalize time, to the batch series builder over the retained reports,
+which the session then steps itself in series mode — so the session never
+answers differently from the batch path, it only answers *earlier* when
+the stream is healthy.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -102,8 +110,8 @@ class TrackingSession:
         pairs: antenna pairs to difference (default: all same-reader
             pairs of the system's deployment — the batch default).
         config: the session policy — timeline rate, dead-antenna
-            threshold, candidate count, out-of-order policy, report
-            retention and candidate pruning (see
+            threshold, candidate count, out-of-order policy and
+            candidate pruning (see
             :class:`~repro.stream.config.SessionConfig`; ``None``
             means ``SessionConfig()``). Its manager-level fields are
             ignored here.
@@ -174,26 +182,24 @@ class TrackingSession:
             return self.resampler.dropped_nonfinite
         return self._released_drop_counts[1]
 
-    def latest_point(self) -> TrajectoryPoint | None:
-        return self.points[-1] if self.points else None
-
     # ------------------------------------------------------------------
     # Streaming ingest
     # ------------------------------------------------------------------
     def ingest(self, report: PhaseReport) -> list[TrajectoryPoint]:
         """Fold one phase report in; return any newly emitted points."""
-        return [self._on_sample(sample) for sample in self._prepare(report)]
+        queue = [(self, self._prepare(report))]
+        return [point for _, point in step_sessions(queue)]
 
     def _prepare(self, report: PhaseReport) -> list[PairSample]:
         """Route one report into the resampler; return the finalized samples.
 
         The front half of :meth:`ingest` — validation, EPC pinning,
         incremental unwrap/interpolation, raw-report retention —
-        *without* advancing the tracer. :meth:`ingest` steps each
-        returned sample immediately;
+        *without* advancing the tracer. :meth:`ingest` steps the
+        returned samples at once;
         :meth:`repro.stream.manager.SessionManager.ingest_burst` instead
-        collects the samples of many sessions and advances them through
-        :func:`step_sessions`. Both paths produce bit-identical points
+        collects the samples of many sessions first. Both hand them to
+        :func:`step_sessions`, and both produce bit-identical points
         because the step arithmetic is row-separable
         (:meth:`repro.core.engine.BatchedTracer.step_many`).
         """
@@ -222,7 +228,7 @@ class TrackingSession:
         # builder would see them (the log is time-sorted), so a fallback
         # needs them to answer identically. Non-finite phases are the
         # exception: they are not data and would poison the fallback.
-        if self.config.retain_reports and math.isfinite(report.phase):
+        if math.isfinite(report.phase):
             self._reports.append(report)
         return samples
 
@@ -234,26 +240,21 @@ class TrackingSession:
         return emitted
 
     # ------------------------------------------------------------------
-    # Prebuilt-series ingest (the batch facade's path)
+    # Prebuilt-series input (the batch facade's path)
     # ------------------------------------------------------------------
-    def ingest_series(self, series: list[PairSeries]) -> list[TrajectoryPoint]:
-        """Stream already-resampled pair series through the session.
-
-        This is how the batch facade routes through the streaming core:
-        each timeline instant of the prebuilt series is fed to the same
-        incremental positioner/tracer machinery a live stream drives.
-        The session must be fresh (no raw reports ingested).
-        """
-        return [self._on_sample(sample) for sample in self._prepare_series(series)]
-
     def _prepare_series(self, series: list[PairSeries]) -> list[PairSample]:
-        """The front half of :meth:`ingest_series`: validate the series,
-        switch to series mode and return one unstepped sample per
-        timeline instant (:func:`repro.core.pipeline.reconstruct_many`
-        hands them to :func:`step_sessions`)."""
+        """Switch a session that emitted nothing yet to series mode.
+
+        Validates already-resampled pair series and returns one unstepped
+        sample per timeline instant, for :func:`step_sessions` to feed
+        through the same incremental positioner/tracer machinery a live
+        stream drives. :func:`repro.core.pipeline.reconstruct_many` (the
+        batch facade) and the degenerate-stream fallback of
+        :meth:`finalize` are its callers.
+        """
         if self.state is not SessionState.WARMING or self.points:
             raise ValueError(
-                "ingest_series needs a fresh session (nothing ingested yet)"
+                "series input needs a fresh session (nothing emitted yet)"
             )
         check_series(series)
         self._series_mode = True
@@ -266,17 +267,8 @@ class TrackingSession:
         ]
 
     # ------------------------------------------------------------------
-    # The incremental core
+    # The incremental core (driven by step_sessions)
     # ------------------------------------------------------------------
-    def _on_sample(self, sample: PairSample) -> TrajectoryPoint:
-        """Advance the tracker by one timeline instant."""
-        if self.state is SessionState.WARMING:
-            self._warm_up(sample)
-        positions, votes = self.system.tracer.step(
-            self._trace_state, sample.delta_phi
-        )
-        return self._emit_point(sample, positions, votes)
-
     def _warm_up(self, sample: PairSample) -> None:
         """Warm-up instant: run the multi-resolution positioner on the
         first snapshot, lock lobes, seed every candidate — exactly the
@@ -309,8 +301,9 @@ class TrackingSession:
     def _emit_point(
         self, sample: PairSample, positions: np.ndarray, votes: np.ndarray
     ) -> TrajectoryPoint:
-        """Fold one solved step (from :meth:`~repro.core.engine.BatchedTracer.step`
-        or a merged ``step_many`` row) into the session's histories.
+        """Fold one solved step (a row of
+        :meth:`~repro.core.engine.BatchedTracer.step_many`) into the
+        session's histories.
 
         The step returns rows for the candidates still active (all of
         them unless pruning is on). The emitted point is the best
@@ -359,16 +352,16 @@ class TrackingSession:
                 if "no overlapping observation window" not in str(error):
                     raise
                 # E.g. stale bursts dropped under out_of_order="drop"
-                # left the stream's per-antenna windows disjoint. The
-                # batch builder over the retained (time-sorted) reports
-                # handles exactly this shape, so answer like batch
-                # instead of crashing. (Other ValueErrors are real bugs
-                # and must surface.)
-                return self._finalize_fallback()
-            for sample in tail:
-                self._on_sample(sample)
+                # left the stream's per-antenna windows disjoint. No
+                # instant was ever emitted then (an emitted instant
+                # proves an overlap, and windows only grow), so the
+                # fallback below answers like batch instead of
+                # crashing. (Other ValueErrors are real bugs and must
+                # surface.)
+                tail = []
+            step_sessions([(self, tail)])
         if self.state is not SessionState.TRACKING:
-            return self._finalize_fallback()
+            step_sessions([(self, self._fallback_samples())])
         traces = self.system.tracer.finish(self._trace_state)
         indices = self._trace_state.result_indices
         if indices is not None and len(indices) != len(self.candidates):
@@ -417,19 +410,16 @@ class TrackingSession:
         self._running_votes = None
         self.resampler = None
 
-    def _finalize_fallback(self) -> ReconstructionResult:
-        """Degenerate stream: defer to the batch builder over raw reports.
+    def _fallback_samples(self) -> list[PairSample]:
+        """Degenerate stream: the batch builder's series over raw reports.
 
         Streams whose timeline never started (dead antenna, too few
-        reads) are exactly the inputs the batch path handles by dropping
-        pairs — replaying the retained reports through it keeps the
+        reads) or whose drain found the antenna windows disjoint are
+        exactly the inputs the batch path handles by dropping pairs.
+        Nothing was emitted from them, so the session switches to
+        series mode and steps the batch series itself — which keeps the
         streaming API's answers identical to batch on every input.
         """
-        if not self.config.retain_reports:
-            raise ValueError(
-                "stream never warmed up and retain_reports=False left "
-                "nothing to fall back on"
-            )
         if not self._reports:
             raise ValueError("cannot finalize an empty session")
         log = MeasurementLog(list(self._reports))
@@ -441,29 +431,22 @@ class TrackingSession:
             sample_rate=self.config.sample_rate,
             min_reads_per_antenna=self.config.min_reads_per_antenna,
         )
-        # Series mode reads only the candidate and pruning fields.
-        fallback = TrackingSession(self.system, config=self.config)
-        fallback.ingest_series(series)
-        self.points = fallback.points
-        self.candidates = fallback.candidates
-        self.result = fallback.finalize()
-        # Adopt the fallback's timeline too, so this session's internal
-        # time list agrees with result.times (the invariant every
-        # non-degenerate finalize upholds).
-        self._times = list(fallback._times)
-        self.state = SessionState.FINALIZED
-        return self.result
+        return self._prepare_series(series)
 
 
 def step_sessions(
     queues: Iterable[tuple[TrackingSession, list[PairSample]]],
-) -> Iterator[tuple[TrackingSession, TrajectoryPoint]]:
+) -> list[tuple[TrackingSession, TrajectoryPoint]]:
     """Advance many sessions through their queued samples in merged rounds.
+
+    The only code that advances a session: per-report ingest, the
+    finalize tail, the degenerate-stream fallback, the batch facade
+    (:func:`repro.core.pipeline.reconstruct_many`) and the manager's
+    ingest paths all come through here.
 
     Round ``r`` takes the ``r``-th sample of every queue that still has
     one, in queue order. A session still warming up runs its positioner
-    on that sample first, exactly as :meth:`TrackingSession.ingest`
-    would. The round's sessions are then grouped by
+    on that sample first. The round's sessions are then grouped by
     :attr:`repro.core.engine.TraceState.merge_key`, and each group
     advances in one :meth:`repro.core.engine.BatchedTracer.step_many`
     solve. The solve is row-separable, so every point is bit-identical
@@ -472,11 +455,15 @@ def step_sessions(
     Args:
         queues: ``(session, samples)`` pairs; each session appears once.
 
-    Yields:
+    Returns:
         ``(session, point)`` for every sample: round by round, then
         group by group in first-seen key order, then in queue order.
+        The list is returned only after every queued sample was
+        stepped, so a caller that fires callbacks on it cannot leave a
+        session behind its queue when one of them raises.
     """
     queues = [(session, samples) for session, samples in queues if samples]
+    stepped: list[tuple[TrackingSession, TrajectoryPoint]] = []
     round_index = 0
     while queues:
         groups: dict[tuple, list] = {}
@@ -492,8 +479,11 @@ def step_sessions(
                 [(session._trace_state, sample.delta_phi) for session, sample in items]
             )
             for (session, sample), (positions, votes) in zip(items, outputs):
-                yield session, session._emit_point(sample, positions, votes)
+                stepped.append(
+                    (session, session._emit_point(sample, positions, votes))
+                )
         round_index += 1
         queues = [
             (session, samples) for session, samples in queues if round_index < len(samples)
         ]
+    return stepped

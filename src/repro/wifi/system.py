@@ -21,7 +21,7 @@ from repro.core.positioning import PositionerConfig
 from repro.geometry.antennas import Deployment
 from repro.geometry.layouts import rfidraw_layout
 from repro.geometry.plane import WritingPlane, writing_plane
-from repro.rf.channel import BackscatterChannel, Environment
+from repro.rf.channel import Environment
 from repro.rf.constants import wavelength_of
 from repro.rf.noise import PhaseNoiseModel
 from repro.rf.phase import wrap_to_two_pi
@@ -88,9 +88,6 @@ class WifiTracker:
         self.phase_noise = self.phase_noise or PhaseNoiseModel(
             sigma=0.2, quantization=0.0
         )
-        # One-way channel: reuse the backscatter machinery with the
-        # round-trip response replaced by the one-way response.
-        self._channel = BackscatterChannel(self.environment, self.wavelength)
         region = 8.5 * self.wavelength
         config = PositionerConfig(
             u_range=(-0.15, region),

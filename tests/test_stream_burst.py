@@ -176,6 +176,53 @@ class TestBurstEquivalence:
         for epc, session in m_seq.sessions.items():
             assert len(m_bat.sessions[epc].points) == len(session.points)
 
+    def test_raising_point_callback_loses_no_step(self, fleet):
+        """An ``on_point`` callback that raises once mid-stream costs the
+        caller events, never steps: under ``ingest`` and under
+        ``ingest_burst`` every instant a resampler emitted reaches its
+        session, and both paths agree bit for bit."""
+        system, reports = fleet
+        config = SessionConfig(out_of_order="drop")
+
+        def feed(burst):
+            manager = SessionManager(system, config=config)
+            calls = 0
+
+            def on_point(event):
+                nonlocal calls
+                calls += 1
+                if calls == 5:
+                    raise RuntimeError("consumer failed")
+
+            manager.on_point = on_point
+            raised = 0
+            for start in range(0, len(reports), burst):
+                chunk = reports[start:start + burst]
+                try:
+                    if burst == 1:
+                        manager.ingest(chunk[0])
+                    else:
+                        manager.ingest_burst(chunk)
+                except RuntimeError:
+                    raised += 1  # the caller keeps feeding reports
+            assert raised == 1
+            for session in manager.sessions.values():
+                emitted = len(session.resampler.timeline())
+                assert len(session.points) == emitted
+            results = manager.finalize_all(raise_errors=True)
+            for session in manager.sessions.values():
+                assert len(session.points) == len(session.result.times)
+            return results
+
+        sequential = feed(1)
+        burst = feed(256)
+        assert set(sequential) == set(burst)
+        for epc in sequential:
+            assert np.array_equal(sequential[epc].times, burst[epc].times)
+            assert np.array_equal(
+                sequential[epc].trajectory, burst[epc].trajectory
+            )
+
 
 class TestTypedEvents:
     def test_events_are_typed_subclasses(self, fleet):

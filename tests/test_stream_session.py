@@ -21,6 +21,7 @@ from repro.stream import (
     StreamResampler,
     TrackingSession,
 )
+from repro.stream.session import step_sessions
 from repro.wifi.system import WifiTracker
 
 from tests.helpers import ideal_pair_series
@@ -89,7 +90,8 @@ class TestStreamingMatchesBatch:
     def test_facade_routes_through_session(
         self, deployment, plane, wavelength, rng
     ):
-        """reconstruct(series) == an explicit session fed the series."""
+        """reconstruct(series) == an explicit session fed the series
+        through the one stepper."""
         t = np.linspace(0, 2 * np.pi, 70)
         uv = np.stack(
             [1.25 + 0.07 * np.cos(2 * t), 1.15 + 0.06 * np.sin(3 * t)], axis=1
@@ -103,7 +105,7 @@ class TestStreamingMatchesBatch:
         system = RFIDrawSystem(deployment, plane, wavelength)
         batch = system.reconstruct(series)
         session = system.open_session()
-        session.ingest_series(series)
+        step_sessions([(session, session._prepare_series(series))])
         _assert_results_equivalent(batch, session.finalize())
 
     def test_reconstruct_log_equivalence(self):
