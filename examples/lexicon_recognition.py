@@ -14,12 +14,12 @@ sweep. Three API layers, from lowest to highest:
 
        distances = dtw_distance_many(query, template_stack, band=16)
 
-2. **The indexed recogniser** — ``WordRecognizer(lexicon=100_000)``
-   swaps the corpus template matrix for the pruned index; the same
-   constructor without ``lexicon=`` still answers exactly like the
-   historical corpus recogniser, so every figure is unchanged::
+2. **The indexed recogniser** — ``LexiconRecognizer`` swaps the corpus
+   recogniser's template matrix for the pruned index and answers the
+   same ``recognize``/``classify`` calls as ``WordRecognizer`` (which
+   keeps scoring the embedded corpus, so every figure is unchanged)::
 
-       recognizer = WordRecognizer(lexicon=100_000)
+       recognizer = LexiconRecognizer(default_lexicon(100_000))
        result = recognizer.recognize(trajectory)   # word + work counters
 
 3. **Recognition at finalize** — hand any stream/serve tier a
@@ -38,8 +38,7 @@ statistics — deterministic, no downloads — which takes a few seconds).
 
 from repro.experiments.scenarios import ScenarioConfig, simulate_word
 from repro.handwriting.generator import HandwritingGenerator
-from repro.handwriting.recognizer import WordRecognizer
-from repro.lexicon import LexiconIndex, default_lexicon
+from repro.lexicon import LexiconIndex, LexiconRecognizer, default_lexicon
 
 
 def main() -> None:
@@ -62,7 +61,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Classify a clean handwriting trace against all 100k words.
     # ------------------------------------------------------------------
-    recognizer = WordRecognizer(lexicon=lexicon)
+    recognizer = LexiconRecognizer(lexicon)
     trace = HandwritingGenerator().word_trace("water")
     result = recognizer.recognize(trace.points)
     print(

@@ -88,13 +88,14 @@ shard-arrival order on the service (see ``examples/tracking_service.py``).
 
 **Recognition at finalize.** Hand a manager (or the service, via a
 picklable ``RecognizerFactory``) a word recogniser and every finalized
-trajectory classifies itself against the embedded corpus — or against
-the 100k-word indexed lexicon (``WordRecognizer(lexicon=100_000)``);
-results ride ``SessionFinalized.recognition`` and work counters surface
-in ``ManagerStats`` (see ``examples/lexicon_recognition.py``)::
+trajectory classifies itself against the embedded corpus
+(``WordRecognizer()``) or against the 100k-word indexed lexicon
+(``LexiconRecognizer(default_lexicon(100_000))``); results ride
+``SessionFinalized.recognition`` and work counters surface in
+``ManagerStats`` (see ``examples/lexicon_recognition.py``)::
 
-    manager = SessionManager(system, config=config,
-                             recognizer=WordRecognizer(lexicon=100_000))
+    recognizer = LexiconRecognizer(default_lexicon(100_000))
+    manager = SessionManager(system, config=config, recognizer=recognizer)
 
 ``main`` below runs both entry points (streaming with pruning enabled)
 and checks they agree. Run it with::

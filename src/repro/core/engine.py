@@ -20,8 +20,8 @@ reconstruction hot path. The two pillars:
     problem with a known analytic Jacobian. The batched tracer advances
     **all** candidate trajectories simultaneously with a closed-form
     damped Gauss–Newton / IRLS loop: residuals and Jacobians for the
-    whole ``(C, 2)`` position block are evaluated in one shot, robust
-    (soft-L1/Huber/Cauchy) weights are applied as IRLS weights, and the
+    whole ``(C, 2)`` position block are evaluated in one shot, the
+    soft-L1 robust loss is applied as IRLS weights, and the
     2×2 normal equations are solved in closed form with per-candidate
     Levenberg damping. The same step (with the plain least-squares loss)
     polishes the positioner's grid picks, so the package carries one
@@ -42,7 +42,6 @@ from repro.geometry.antennas import Antenna, AntennaPair
 from repro.geometry.plane import WritingPlane
 from repro.geometry.vectors import points_view
 from repro.rf.constants import DEFAULT_WAVELENGTH
-from repro.rf.phase import wrap_to_half_cycle
 
 __all__ = [
     "PairBank",
@@ -162,59 +161,6 @@ class PairBank:
     # ------------------------------------------------------------------
     # Votes
     # ------------------------------------------------------------------
-    def lock_array(
-        self, locks: dict[tuple[int, int], int] | None
-    ) -> np.ndarray | None:
-        """Per-pair lobe locks as a float array (NaN = unlocked)."""
-        if locks is None:
-            return None
-        values = np.full(len(self.pairs), np.nan)
-        for index, pair in enumerate(self.pairs):
-            lock = locks.get(pair.ids)
-            if lock is not None:
-                values[index] = float(lock)
-        return values
-
-    def residuals(
-        self,
-        delta_phis: np.ndarray,
-        points: np.ndarray,
-        wavelength: float,
-        round_trip: float = 2.0,
-        locks: dict[tuple[int, int], int] | None = None,
-    ) -> np.ndarray:
-        """``(N, P)`` Eq. 7 residuals in cycles (wrapped or lobe-locked).
-
-        Unlocked residuals are wrapped to the nearest integer with
-        ``rint`` (ties to even), i.e. the interval ``[−0.5, 0.5]`` rather
-        than :func:`repro.rf.phase.wrap_to_half_cycle`'s half-open
-        ``[−0.5, 0.5)`` — the two can differ in sign only at an exact
-        half-cycle tie, where the squared vote is identical anyway, and
-        ``rint`` is several times cheaper than a modulo pass.
-        """
-        delta_phis = np.asarray(delta_phis, dtype=float)
-        if len(self.pairs) != delta_phis.size:
-            raise ValueError("need exactly one Δφ per pair")
-        # Fold the cycles scale into the gather matmul, then shift and
-        # wrap in place: at most three passes over the (N, P) block.
-        raw = self.distances(points) @ (
-            self._pair_matrix * (round_trip / wavelength)
-        )
-        raw -= (delta_phis / _TWO_PI)[np.newaxis, :]
-        lock_values = self.lock_array(locks)
-        if lock_values is None:
-            raw -= np.rint(raw)
-            return raw
-        unlocked = np.isnan(lock_values)
-        if unlocked.any():
-            return np.where(
-                unlocked[np.newaxis, :],
-                wrap_to_half_cycle(raw),
-                raw - np.where(unlocked, 0.0, lock_values)[np.newaxis, :],
-            )
-        raw -= lock_values[np.newaxis, :]
-        return raw
-
     #: Points per block of :meth:`total_votes`. Sized so the work
     #: buffers (distances, residuals, nearest-integer) stay a few MB —
     #: inside the L2/L3 working set instead of paying ~30 MB of fresh
@@ -227,7 +173,6 @@ class PairBank:
         points: np.ndarray,
         wavelength: float,
         round_trip: float = 2.0,
-        locks: dict[tuple[int, int], int] | None = None,
     ) -> np.ndarray:
         """``(N,)`` summed Eq. 7 votes — the paper's ``V(P)``, batched.
 
@@ -235,13 +180,6 @@ class PairBank:
         :meth:`votes_from_distances` (the vote kernel the positioner also
         runs on its cached grid distances).
         """
-        if locks is not None:
-            # Lobe-locked evaluations come from the tracers, whose point
-            # blocks are small; the simple full-size path is fine there.
-            residuals = self.residuals(
-                delta_phis, points, wavelength, round_trip, locks
-            )
-            return -np.einsum("np,np->n", residuals, residuals)
         pts = points_view(points)
         votes = np.empty(pts.shape[0])
         for start in range(0, pts.shape[0], self._CHUNK):
@@ -263,7 +201,12 @@ class PairBank:
         The vote half of :meth:`total_votes`: one matmul with the cycles-
         scaled ±1 pair matrix gives every pair's path difference in
         cycles, then shift by Δφ/2π, wrap to the nearest integer with
-        ``rint`` (see :meth:`residuals`) and sum the squares.
+        ``rint`` and sum the squares. ``rint`` (ties to even) wraps to
+        ``[−0.5, 0.5]`` rather than
+        :func:`repro.rf.phase.wrap_to_half_cycle`'s half-open
+        ``[−0.5, 0.5)``: the two differ in sign only at an exact
+        half-cycle tie, where the squared vote is identical anyway, and
+        ``rint`` is several times cheaper than a modulo pass.
         """
         delta_phis = np.asarray(delta_phis, dtype=float)
         if len(self.pairs) != delta_phis.size:
@@ -320,24 +263,13 @@ def _robust_cost_and_weights(
     if loss == "linear":
         ones = np.ones_like(residuals)
         return np.einsum("cp,cp->c", residuals, residuals), ones, ones
+    # soft_l1, the one robust loss TracerConfig admits.
     z = np.square(residuals / f_scale)
-    if loss == "soft_l1":
-        one_plus_z = 1.0 + z
-        root = np.sqrt(one_plus_z)
-        rho = 2.0 * (root - 1.0)
-        grad_w = 1.0 / root  # ρ' = (1+z)^{-1/2}
-        hess_w = grad_w / one_plus_z  # ρ' + 2zρ'' = (1+z)^{-3/2}
-    elif loss == "huber":
-        safe = np.maximum(z, 1.0)
-        rho = np.where(z <= 1.0, z, 2.0 * np.sqrt(safe) - 1.0)
-        grad_w = np.where(z <= 1.0, 1.0, 1.0 / np.sqrt(safe))
-        hess_w = np.where(z <= 1.0, 1.0, 0.0)  # ρ' + 2zρ'' vanishes for z>1
-    elif loss == "cauchy":
-        rho = np.log1p(z)
-        grad_w = 1.0 / (1.0 + z)
-        hess_w = (1.0 - z) * np.square(grad_w)
-    else:  # pragma: no cover - TracerConfig validates upstream
-        raise ValueError(f"unsupported loss {loss!r}")
+    one_plus_z = 1.0 + z
+    root = np.sqrt(one_plus_z)
+    rho = 2.0 * (root - 1.0)
+    grad_w = 1.0 / root  # ρ' = (1+z)^{-1/2}
+    hess_w = grad_w / one_plus_z  # ρ' + 2zρ'' = (1+z)^{-3/2}
     np.maximum(hess_w, 1e-10, out=hess_w)
     return f_scale**2 * rho.sum(axis=1), grad_w, hess_w
 
@@ -402,8 +334,8 @@ class TraceState:
             candidates (``A == C`` until something is pruned).
         positions: per-step ``(A_t, 2)`` solved positions, in step order.
         votes: per-step ``(A_t,)`` Eq. 7 votes.
-        deltas: per-step ``(P,)`` Δφ vectors (for the final residuals —
-            and for resuming a pruned candidate, see ``finish``).
+        deltas: per-step ``(P,)`` Δφ vectors, for resuming a pruned
+            candidate (see :meth:`BatchedTracer.finish`).
         prune_margin: drop a candidate once its running vote sum trails
             the leader's by more than this (``None`` disables pruning).
         prune_burn_in: number of steps before pruning may begin.
@@ -465,15 +397,6 @@ class TraceState:
     def active_count(self) -> int:
         return int(self.active.size)
 
-    def running_total_votes(self) -> np.ndarray:
-        """``(C,)`` vote sums over the steps ingested so far.
-
-        Pruned candidates keep the sum they had when dropped — per-step
-        votes are ≤ 0, so that frozen value upper-bounds the total they
-        could have reached.
-        """
-        return self.running.copy()
-
 
 def check_series(series) -> None:
     """Reject pair series that cannot be traced: none, empty, or not on
@@ -533,7 +456,7 @@ class BatchedTracer:
         Implemented on top of the incremental :meth:`begin` /
         :meth:`step` / :meth:`finish` API, so a streaming session that
         feeds the same Δφ instants one at a time produces bit-identical
-        trajectories, votes and residuals.
+        trajectories and votes.
 
         Args:
             series: per-pair unwrapped Δφ series on a shared timeline.
@@ -606,10 +529,10 @@ class BatchedTracer:
            recorded Δφ tail — reproducing, by 2, precisely its unpruned
            trajectory and true total — before the final arg-max.
 
-        Hence the arg-max winner (and its trajectory, votes and
-        residual diagnostics) is identical to the unpruned batch answer
-        for **every** margin; the margin and burn-in only tune how much
-        work is dropped versus occasionally resumed.
+        Hence the arg-max winner (and its trajectory and votes) is
+        identical to the unpruned batch answer for **every** margin; the
+        margin and burn-in only tune how much work is dropped versus
+        occasionally resumed.
         """
         bank = pairs if isinstance(pairs, PairBank) else PairBank(list(pairs))
         starts = np.atleast_2d(np.asarray(start_positions, dtype=float))
@@ -839,9 +762,9 @@ class BatchedTracer:
     def finish(self, state: TraceState) -> list:
         """Close an incremental trace and build the per-candidate results.
 
-        Evaluates the locked residuals along every solved path in one
-        engine call — the same single evaluation (same shapes, same BLAS
-        dispatch) the batch path performs, so results are bit-identical.
+        Each result carries the candidate's per-step positions and votes
+        exactly as :meth:`step` recorded them, so a stepwise trace and
+        the batch :meth:`trace_all` agree bit for bit.
 
         With pruning, results are built for the *survivors* — plus any
         dropped candidate whose frozen running sum does not already
@@ -860,54 +783,32 @@ class BatchedTracer:
         state.result_indices = list(range(state.candidate_count))
         return self._build_results(state, state.result_indices, positions, votes)
 
+    @staticmethod
     def _build_results(
-        self,
         state: TraceState,
         indices: list,
         positions: np.ndarray,
         votes: np.ndarray,
     ) -> list:
-        """Per-candidate :class:`TraceResult`\\ s with residual diagnostics.
-
-        ``positions``/``votes`` are ``(R, T, 2)``/``(R, T)`` blocks whose
-        rows belong to original candidates ``indices``; the locked
-        residuals along every row are computed in one engine evaluation.
-        """
+        """One :class:`TraceResult` per row of the ``(R, T, 2)`` positions
+        and ``(R, T)`` votes blocks, whose rows belong to the original
+        candidates ``indices``: the row's trajectory and votes, the
+        candidate's lobe locks and its start."""
         from repro.core.tracing import TraceResult
 
-        ws = state.workspace
-        bank = ws.bank
-        count = len(indices)
-        steps = state.step_count
-        pair_count = len(bank)
-        delta = np.stack(state.deltas, axis=1)  # (P, T)
-        locks = state.locks[indices]  # (R, P)
-        # (R, P, T) lobe-locked targets in cycles.
-        targets = delta[np.newaxis, :, :] / _TWO_PI + locks[:, :, np.newaxis]
-
-        # Locked residuals along every solved path, in one evaluation.
-        world = ws.plane.to_world(positions.reshape(-1, 2))
-        path_diffs = bank.path_differences(world).reshape(
-            count, steps, pair_count
-        )
-        residuals = ws.scale * path_diffs.transpose(0, 2, 1) - targets  # (R, P, T)
-
-        results = []
-        for row, index in enumerate(indices):
-            lock_dict = {
-                pair.ids: int(state.locks[index, p])
-                for p, pair in enumerate(bank.pairs)
-            }
-            results.append(
-                TraceResult(
-                    positions[row],
-                    votes[row],
-                    lock_dict,
-                    state.starts[index].copy(),
-                    residuals[row],
-                )
+        pairs = state.workspace.bank.pairs
+        return [
+            TraceResult(
+                positions[row],
+                votes[row],
+                {
+                    pair.ids: int(state.locks[index, p])
+                    for p, pair in enumerate(pairs)
+                },
+                state.starts[index].copy(),
             )
-        return results
+            for row, index in enumerate(indices)
+        ]
 
     def _finish_pruned(self, state: TraceState) -> list:
         """Finish a trace that dropped candidates along the way.

@@ -11,12 +11,14 @@ Given a candidate initial position, the tracer:
 3. records the total vote at every step. In the over-constrained system
    (more pairs than unknowns), locking the *wrong* lobes makes them stop
    intersecting as the tag moves, so the wrong candidate's vote decays —
-   which is how the best initial position is selected (section 7.2).
+   which is how the best initial position is selected (section 7.2): the
+   trajectory with the highest total vote (Eq. 7) wins.
 
 The tracer itself is :class:`repro.core.engine.BatchedTracer`, which
 advances every candidate trajectory at once; this module holds its
 tunables (:class:`TracerConfig`) and its per-candidate output
-(:class:`TraceResult`).
+(:class:`TraceResult`: the trajectory, its per-step votes, its lobe
+locks and its start).
 """
 
 from __future__ import annotations
@@ -45,8 +47,10 @@ class TracerConfig:
     def __post_init__(self) -> None:
         if self.max_step <= 0:
             raise ValueError("max_step must be positive")
-        if self.loss not in ("linear", "soft_l1", "huber", "cauchy"):
+        if self.loss not in ("linear", "soft_l1"):
             raise ValueError(f"unsupported loss {self.loss!r}")
+        if not self.loss_scale > 0:
+            raise ValueError("loss_scale must be positive")
 
 
 @dataclass
@@ -58,41 +62,17 @@ class TraceResult:
         votes: ``(T,)`` total vote at each step (≤ 0, higher is better).
         locks: the lobe index each pair was locked to.
         initial_position: the candidate this trace started from.
-        residuals: ``(P, T)`` per-pair locked residuals (cycles) along the
-            solved trajectory — the raw material of the coherence vote.
     """
 
     positions: np.ndarray
     votes: np.ndarray
     locks: dict[tuple[int, int], int]
     initial_position: np.ndarray
-    residuals: np.ndarray | None = None
 
     @property
     def total_vote(self) -> float:
         """Sum of votes along the whole trajectory (Eq. 7 selection)."""
         return float(self.votes.sum())
-
-    @property
-    def coherence_vote(self) -> float:
-        """Total vote with per-pair *static* bias treated as a nuisance.
-
-        Static multipath and antenna-calibration error shift every pair's
-        residual by a near-constant amount, identically for all candidate
-        lobe sets — drowning the paper's discriminative signal (wrong
-        lobes stop intersecting *over time*, section 5.2). Scoring the
-        residual variance around each pair's own mean removes the common
-        bias and keeps exactly the incoherent-rotation term:
-        ``−Σ_p Σ_t (r_p(t) − r̄_p)²``.
-        """
-        if self.residuals is None:
-            return self.total_vote
-        centered = self.residuals - self.residuals.mean(axis=1, keepdims=True)
-        return float(-np.sum(centered**2))
-
-    @property
-    def mean_vote(self) -> float:
-        return float(self.votes.mean())
 
     def __len__(self) -> int:
         return int(self.positions.shape[0])

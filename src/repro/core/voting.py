@@ -64,7 +64,6 @@ def total_votes(
     points: np.ndarray,
     wavelength: float,
     round_trip: float = 2.0,
-    locks: dict[tuple[int, int], int] | None = None,
 ) -> np.ndarray:
     """Sum of every pair's vote on each point (the paper's ``V(P)``).
 
@@ -78,9 +77,7 @@ def total_votes(
     if not pairs:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return np.zeros(points.shape[0])
-    return PairBank(pairs).total_votes(
-        delta_phis, points, wavelength, round_trip, locks
-    )
+    return PairBank(pairs).total_votes(delta_phis, points, wavelength, round_trip)
 
 
 @dataclass

@@ -5,13 +5,13 @@ Usage::
     python -m repro.experiments                # every figure, fast preset
     python -m repro.experiments --full         # paper-scale workloads
     python -m repro.experiments fig11 fig14    # a subset
-    python -m repro.experiments fig11 --workers 8 --processes
+    python -m repro.experiments fig11 --workers 8
                                                # fan word simulations
-                                               # across a process pool
+                                               # across 8 processes
 
-Process fan-out lives here, at the CLI layer: the figure modules take
-plain ``max_workers``/``use_processes`` arguments and stay importable
-without spawning anything. Word *simulations* fan out to the executor;
+Process fan-out lives here, at the CLI layer: the figure modules take a
+plain ``max_workers`` argument and stay importable without spawning
+anything. Word *simulations* fan out to a process pool;
 the reconstructions then run batched in this process through one merged
 engine block (``reconstruct_many``) regardless of worker count, so
 results are identical for any ``--workers`` value.
@@ -48,13 +48,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="fan word simulations across N executor workers "
+        help="fan word simulations across N worker processes "
              "(experiments without a batch stage ignore this)",
-    )
-    parser.add_argument(
-        "--processes",
-        action="store_true",
-        help="use a process pool instead of a thread pool for --workers",
     )
     args = parser.parse_args(argv)
 
@@ -69,7 +64,6 @@ def main(argv: list[str] | None = None) -> int:
             experiment_id,
             fast=not args.full,
             max_workers=args.workers,
-            use_processes=args.processes,
         )
         print(format_result(result))
         print(f"[{time.time() - started:.1f}s]")

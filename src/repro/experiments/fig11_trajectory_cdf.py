@@ -51,16 +51,15 @@ def collect_runs(
     users: int = 5,
     run_baseline: bool = True,
     max_workers: int | None = None,
-    use_processes: bool = False,
 ):
     """Simulate ``words`` writing sessions; yields per-run error data.
 
     The batch routes through :func:`simulate_words` with
     ``batch_reconstruct=True``, so every word's trajectory comes out of
     one merged engine block (bit-identical to per-word reconstruction);
-    ``max_workers``/``use_processes`` fan the *simulations* across an
-    executor first (``python -m repro.experiments --workers N
-    [--processes]`` wires these from the command line).
+    ``max_workers`` fans the *simulations* across a process pool first
+    (``python -m repro.experiments --workers N`` wires it from the
+    command line).
 
     Returns:
         list of dicts with keys ``rfidraw_errors``, ``baseline_errors``,
@@ -84,7 +83,6 @@ def collect_runs(
         jobs,
         run_baseline=run_baseline,
         max_workers=max_workers,
-        use_processes=use_processes,
         batch_reconstruct=True,
     )
     collected = []
@@ -118,7 +116,6 @@ def run(
     words: int = 30,
     seed: int = 11,
     max_workers: int | None = None,
-    use_processes: bool = False,
 ) -> ExperimentResult:
     """Regenerate Fig. 11's CDF summaries for LOS and NLOS.
 
@@ -126,8 +123,8 @@ def run(
         words: writing sessions per setting (the paper used 150 total;
             30 per setting gives stable medians in a few minutes).
         seed: experiment seed.
-        max_workers / use_processes: executor fan-out for the word
-            simulations (see :func:`collect_runs`).
+        max_workers: process-pool fan-out for the word simulations
+            (see :func:`collect_runs`).
     """
     result = ExperimentResult(
         "fig11",
@@ -135,13 +132,7 @@ def run(
     )
     for los in (True, False):
         setting = "los" if los else "nlos"
-        collected = collect_runs(
-            words,
-            los,
-            seed,
-            max_workers=max_workers,
-            use_processes=use_processes,
-        )
+        collected = collect_runs(words, los, seed, max_workers=max_workers)
         rfidraw = EmpiricalCdf(
             np.concatenate([c["rfidraw_errors"] for c in collected])
         )

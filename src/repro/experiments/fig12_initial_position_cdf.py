@@ -33,7 +33,6 @@ def run(
     words: int = 30,
     seed: int = 12,
     max_workers: int | None = None,
-    use_processes: bool = False,
 ) -> ExperimentResult:
     """Regenerate Fig. 12's CDF summaries for LOS and NLOS."""
     result = ExperimentResult(
@@ -42,13 +41,7 @@ def run(
     )
     for los in (True, False):
         setting = "los" if los else "nlos"
-        collected = collect_runs(
-            words,
-            los,
-            seed,
-            max_workers=max_workers,
-            use_processes=use_processes,
-        )
+        collected = collect_runs(words, los, seed, max_workers=max_workers)
         rfidraw = EmpiricalCdf([c["rfidraw_init"] for c in collected])
         baseline = EmpiricalCdf([c["baseline_init"] for c in collected])
         improvement = baseline.median / max(rfidraw.median, 1e-9)

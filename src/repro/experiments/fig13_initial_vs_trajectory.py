@@ -31,7 +31,6 @@ def run(
     words: int = 40,
     seed: int = 13,
     max_workers: int | None = None,
-    use_processes: bool = False,
 ) -> ExperimentResult:
     """Bin traces by initial error; report median trajectory error per bin.
 
@@ -42,10 +41,11 @@ def run(
         "fig13",
         "Initial position accuracy vs trajectory accuracy (RF-IDraw)",
     )
-    fan_out = dict(max_workers=max_workers, use_processes=use_processes)
-    collected = collect_runs(words, True, seed, run_baseline=False, **fan_out)
+    collected = collect_runs(
+        words, True, seed, run_baseline=False, max_workers=max_workers
+    )
     collected += collect_runs(
-        words, False, seed + 1, run_baseline=False, **fan_out
+        words, False, seed + 1, run_baseline=False, max_workers=max_workers
     )
 
     edges = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, np.inf]

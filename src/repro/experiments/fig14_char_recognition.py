@@ -64,7 +64,6 @@ def run(
     distances: tuple[float, ...] = (2.0, 3.0, 5.0),
     seed: int = 14,
     max_workers: int | None = None,
-    use_processes: bool = False,
 ) -> ExperimentResult:
     """Measure per-character recognition for both systems vs distance."""
     result = ExperimentResult(
@@ -88,10 +87,7 @@ def run(
             for w_index, word in enumerate(words)
         ]
         runs = simulate_words(
-            jobs,
-            max_workers=max_workers,
-            use_processes=use_processes,
-            batch_reconstruct=True,
+            jobs, max_workers=max_workers, batch_reconstruct=True
         )
         for run_ in runs:
             spans = run_.trace.letter_spans

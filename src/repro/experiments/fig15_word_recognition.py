@@ -34,7 +34,6 @@ def run(
     seed: int = 15,
     include_baseline: bool = True,
     max_workers: int | None = None,
-    use_processes: bool = False,
 ) -> ExperimentResult:
     """Measure whole-word recognition for both systems vs word length.
 
@@ -87,7 +86,6 @@ def run(
             jobs,
             run_baseline=include_baseline,
             max_workers=max_workers,
-            use_processes=use_processes,
             batch_reconstruct=True,
         )
         for word, run_ in zip(chosen, runs):

@@ -45,18 +45,16 @@ def run_experiment(
     experiment_id: str,
     fast: bool = True,
     max_workers: int | None = None,
-    use_processes: bool = False,
 ) -> ExperimentResult:
     """Run one experiment by id (``fig11``, ``noise``, …).
 
     Args:
         experiment_id: registry key.
         fast: fast preset (default) or paper-scale workloads.
-        max_workers / use_processes: executor fan-out for experiments
-            whose word simulations batch through
+        max_workers: process-pool fan-out for experiments whose word
+            simulations batch through
             :func:`repro.experiments.scenarios.simulate_words`
-            (fig11–fig15); experiments without a batch stage ignore
-            them.
+            (fig11–fig15); experiments without a batch stage ignore it.
     """
     try:
         module, fast_kwargs, full_kwargs = EXPERIMENTS[experiment_id]
@@ -67,11 +65,8 @@ def run_experiment(
         ) from None
     kwargs = dict(fast_kwargs if fast else full_kwargs)
     if max_workers and max_workers > 1:
-        accepted = inspect.signature(module.run).parameters
-        if "max_workers" in accepted:
+        if "max_workers" in inspect.signature(module.run).parameters:
             kwargs["max_workers"] = max_workers
-            if "use_processes" in accepted:
-                kwargs["use_processes"] = use_processes
     return module.run(**kwargs)
 
 

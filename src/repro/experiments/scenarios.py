@@ -443,7 +443,6 @@ def simulate_words(
     jobs,
     run_baseline: bool = True,
     max_workers: int | None = None,
-    use_processes: bool = False,
     batch_reconstruct: bool = False,
 ) -> list[SimulationRun]:
     """Simulate a batch of writing sessions through shared substrate.
@@ -453,18 +452,16 @@ def simulate_words(
     layout/environment construction once instead of per word. Jobs are
     mutually independent — each derives its randomness from its own
     ``(seed, user, word)`` tuple — so results are identical whether they
-    run serially or on an executor.
+    run serially or on a process pool.
 
     Args:
         jobs: iterable of :class:`WordJob` or ``(word[, user[, seed[,
             config]]])`` tuples, in result order.
         run_baseline: also run the antenna-array scheme's readers.
-        max_workers: fan jobs across a ``concurrent.futures`` executor
-            when > 1; ``None``/``0``/``1`` runs serially in-process.
-        use_processes: use a process pool instead of a thread pool
-            (worth it only when jobs are long and numerous — each
-            worker re-imports the library and ships results back by
-            pickle).
+        max_workers: fan jobs across a ``ProcessPoolExecutor`` of this
+            many workers when > 1; ``None``/``0``/``1`` runs serially
+            in-process. Each worker re-imports the library and ships
+            its runs back by pickle.
         batch_reconstruct: run every job's RF-IDraw reconstruction
             immediately through one merged engine block
             (:func:`repro.core.pipeline.reconstruct_many`) instead of
@@ -472,7 +469,7 @@ def simulate_words(
             the per-step solve shared across the whole batch. Figure
             sweeps (fig11/fig14/fig15) enable this; leave it off when
             only the raw logs are of interest. Batched reconstruction
-            always happens in the calling process, after any executor
+            always happens in the calling process, after any pool
             fan-out of the simulations themselves.
 
     Returns:
@@ -483,12 +480,7 @@ def simulate_words(
     ]
     body = functools.partial(_run_job, run_baseline=run_baseline)
     if max_workers and max_workers > 1 and len(normalized) > 1:
-        pool_type = (
-            concurrent.futures.ProcessPoolExecutor
-            if use_processes
-            else concurrent.futures.ThreadPoolExecutor
-        )
-        with pool_type(max_workers=max_workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers) as pool:
             runs = list(pool.map(body, normalized))
     else:
         runs = [body(job) for job in normalized]

@@ -168,26 +168,21 @@ class CharacterRecognizer:
 class WordRecognizer:
     """Dictionary-constrained word recognition via synthesised templates.
 
-    A thin facade over two engines. With an explicit ``dictionary`` (or
-    the default embedded corpus) every template is rendered once at
-    construction — immutable, matrix-prefiltered, scored by one batched
-    DTW sweep; answers match the historical per-word scalar loop. With
-    ``lexicon=`` the recogniser delegates to the scalable subsystem
-    (`repro.lexicon`): feature-index pruning instead of the full
-    template-matrix broadcast, an LRU-bounded template cache, the same
-    batched DTW.
+    Every template of the ``dictionary`` (or the default embedded
+    corpus) is rendered once at construction — immutable,
+    matrix-prefiltered, scored by one batched DTW sweep; answers match
+    the historical per-word scalar loop. For lexicon-scale vocabularies
+    use :class:`repro.lexicon.LexiconRecognizer` (feature-index pruning,
+    an LRU-bounded template cache, the same batched DTW), which answers
+    the same ``recognize``/``classify`` calls.
 
     Args:
         dictionary: candidate words (default: the embedded corpus).
         font: stroke font for template synthesis.
         resample: points per normalised trajectory.
         band: DTW band half-width.
-        shortlist: how many pruned candidates get a DTW pass (default
-            110 against a dictionary, 256 against a lexicon).
-        lexicon: a ``repro.lexicon.Lexicon`` (or word count for the
-            shared deterministic lexicon) to recognise against instead
-            of a rendered dictionary. Mutually exclusive with
-            ``dictionary``.
+        shortlist: how many pre-filtered candidates get a DTW pass
+            (default 110).
     """
 
     def __init__(
@@ -197,37 +192,10 @@ class WordRecognizer:
         resample: int = 128,
         band: int = 16,
         shortlist: int | None = None,
-        lexicon=None,
     ) -> None:
         self.font = font or default_font()
         self.resample = resample
         self.band = band
-        self._engine = None
-        if lexicon is not None:
-            if dictionary is not None:
-                raise ValueError("pass either a dictionary or a lexicon")
-            from repro.lexicon import (
-                DEFAULT_SHORTLIST,
-                LexiconRecognizer,
-                default_lexicon,
-            )
-
-            if isinstance(lexicon, int):
-                lexicon = default_lexicon(lexicon)
-            self.shortlist = (
-                DEFAULT_SHORTLIST if shortlist is None else shortlist
-            )
-            self._engine = LexiconRecognizer(
-                lexicon=lexicon,
-                font=font,
-                resample=resample,
-                band=band,
-                shortlist=self.shortlist,
-            )
-            self.dictionary = self._engine.lexicon.words
-            self._templates: dict[str, _Template] = {}
-            self._matrix = None
-            return
         self.shortlist = 110 if shortlist is None else shortlist
         self.dictionary = tuple(dictionary if dictionary is not None else CORPUS)
         if not self.dictionary:
@@ -260,22 +228,13 @@ class WordRecognizer:
         fully vectorised over the whole dictionary. DTW then re-ranks only
         the shortlist. Linear alignment is a (loose) lower-quality bound on
         DTW similarity that keeps the true word in the shortlist reliably.
-
-        Against a lexicon, ``query`` is the *raw* trajectory and pruning
-        runs on the feature index instead (the 100k template matrix
-        could not be rendered, let alone broadcast).
         """
-        if self._engine is not None:
-            picks = self._engine.index.shortlist(query)
-            return [self._engine.lexicon.words[int(i)] for i in picks]
         gaps = np.sqrt(((self._matrix - query) ** 2).sum(axis=2)).mean(axis=1)
         order = np.argsort(gaps)[: self.shortlist]
         return [self.dictionary[int(index)] for index in order]
 
     def scores(self, points: np.ndarray) -> dict[str, float]:
         """DTW distance for the shortlisted dictionary candidates."""
-        if self._engine is not None:
-            return self._engine.scores(points)
         from repro.lexicon.dtw_batch import dtw_distance_many
 
         query = normalize_trajectory(points, self.resample, deslant=True)
@@ -289,8 +248,6 @@ class WordRecognizer:
 
     def recognize(self, points: np.ndarray):
         """Classify with work counters — a ``RecognitionResult``."""
-        if self._engine is not None:
-            return self._engine.recognize(points)
         from repro.lexicon.recognizer import RecognitionResult
 
         results = self.scores(points)
@@ -310,7 +267,5 @@ class WordRecognizer:
 
     def classify(self, points: np.ndarray) -> str:
         """The most likely dictionary word for a whole-word trajectory."""
-        if self._engine is not None:
-            return self._engine.classify(points)
         scores = self.scores(points)
         return min(scores, key=scores.get)

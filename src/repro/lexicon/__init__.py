@@ -5,8 +5,9 @@ corpus: a deterministic 100k-word lexicon with persisted shape features
 (`store`), a trie + feature index that prunes each query to a small
 shortlist (`index`), and a batched banded-DTW kernel that scores the
 whole shortlist in one vectorised recurrence (`dtw_batch`).
-`recognizer` ties them together; ``WordRecognizer`` in
-`repro.handwriting.recognizer` remains the thin user-facing facade.
+`recognizer` ties them together in :class:`LexiconRecognizer`, which
+answers the same ``recognize``/``classify`` calls as the
+rendered-dictionary ``WordRecognizer`` in `repro.handwriting.recognizer`.
 """
 
 from repro.lexicon.dtw_batch import dtw_distance_many

@@ -8,8 +8,9 @@ DTW (`repro.lexicon.dtw_batch`) scores them in feature-rank chunks with
 an adaptive early-abandon bound, so the likely winner (median feature
 rank 0) sets a tight bound for the rest of the shortlist.
 
-:class:`LexiconRecognizer` is the engine; ``WordRecognizer`` in
-`repro.handwriting.recognizer` stays the user-facing facade.
+:class:`LexiconRecognizer` answers the same ``recognize``/``classify``
+calls as the rendered-dictionary ``WordRecognizer`` in
+`repro.handwriting.recognizer`; callers pick one by vocabulary size.
 """
 
 from __future__ import annotations
@@ -209,9 +210,10 @@ class RecognizerFactory:
 
     The serve tier's shard processes cannot receive a live recogniser
     (templates and numpy caches don't pickle usefully); they receive
-    this factory and build their own. ``lexicon_size=None`` means the
-    embedded-corpus facade; a number means the scalable engine over the
-    shared deterministic lexicon of that size.
+    this factory and build their own. ``lexicon_size=None`` means a
+    ``WordRecognizer`` over the embedded corpus; a number means a
+    :class:`LexiconRecognizer` over the shared deterministic lexicon of
+    that size.
     """
 
     lexicon_size: int | None = None

@@ -329,9 +329,10 @@ class SessionManager:
               shed tag that starts replying again begins a *fresh*
               session (a new gesture) rather than counting as a
               straggler.
-        recognizer: optional word recogniser; every successful finalize
-            classifies the trajectory and attaches the word to the
-            ``FINALIZED`` event.
+        recognizer: optional word recogniser (a ``WordRecognizer`` or
+            a ``LexiconRecognizer``); every successful finalize calls its
+            ``recognize`` on the trajectory and attaches the result to
+            the ``FINALIZED`` event.
 
     Attributes:
         on_session_started / on_point / on_session_finalized /
@@ -687,19 +688,7 @@ class SessionManager:
     def _recognize(self, epc_hex: str, result: ReconstructionResult):
         """Classify a finalized trajectory; tally the work, never raise."""
         try:
-            if hasattr(self.recognizer, "recognize"):
-                recognition = self.recognizer.recognize(result.trajectory)
-            else:  # classify-only recogniser: no work counters to read
-                from repro.lexicon.recognizer import RecognitionResult
-
-                word = self.recognizer.classify(result.trajectory)
-                recognition = RecognitionResult(
-                    word=word,
-                    distance=float("nan"),
-                    shortlist_size=0,
-                    dtw_evals=0,
-                    candidates=(),
-                )
+            recognition = self.recognizer.recognize(result.trajectory)
         except Exception:
             self.recognition_errors += 1
             return None

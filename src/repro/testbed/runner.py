@@ -37,6 +37,7 @@ from repro.analysis.metrics import trajectory_error_rfidraw
 from repro.experiments.scenarios import ScenarioConfig, simulate_word
 from repro.handwriting.recognizer import CharacterRecognizer, WordRecognizer
 from repro.io.logs import save_phase_log
+from repro.lexicon import LexiconRecognizer, default_lexicon
 from repro.stream.config import SessionConfig
 from repro.stream.manager import SessionManager
 from repro.testbed.config import ScenarioSpec, TestbedConfig
@@ -91,16 +92,18 @@ def _slug(name: str) -> str:
 
 
 @lru_cache(maxsize=4)
-def _lexicon_recognizer(size: int) -> WordRecognizer:
+def _lexicon_recognizer(size: int) -> WordRecognizer | LexiconRecognizer:
     """Shared per-size lexicon recogniser.
 
     Cells that set ``lexicon = N`` score against the deterministic
-    shared lexicon through the indexed engine (``0`` = the embedded
-    corpus); caching per size keeps the (expensive) lexicon build and
-    the template LRU warm across the matrix instead of rebuilding per
-    cell.
+    shared lexicon through the indexed :class:`LexiconRecognizer`
+    (``0`` = a ``WordRecognizer`` over the embedded corpus); caching per
+    size keeps the (expensive) lexicon build and the template LRU warm
+    across the matrix instead of rebuilding per cell.
     """
-    return WordRecognizer() if size == 0 else WordRecognizer(lexicon=size)
+    if size == 0:
+        return WordRecognizer()
+    return LexiconRecognizer(default_lexicon(size))
 
 
 def run_scenario(

@@ -18,13 +18,14 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import least_squares
 
-from repro.core.engine import PairBank, check_series
+from repro.core.engine import check_series
 from repro.core.pipeline import ReconstructionResult
 from repro.core.tracing import TraceResult, TracerConfig
 from repro.geometry.antennas import AntennaPair
 from repro.geometry.plane import WritingPlane
 from repro.rf.constants import DEFAULT_WAVELENGTH
 from repro.rfid.sampling import PairSeries, snapshot_at
+from tests.oracles.voting import total_votes_reference
 
 _TWO_PI = 2.0 * np.pi
 
@@ -109,15 +110,7 @@ class TrajectoryTracer:
             current, vote = self._solve_step(pairs, targets[:, step], current)
             positions[step] = current
             votes[step] = vote
-
-        # Locked residuals along the solved path, for the coherence vote.
-        world = self.plane.to_world(positions)
-        scale = self.round_trip / self.wavelength
-        path_diffs = PairBank(pairs).path_differences(world)  # (T, P)
-        residuals = scale * path_diffs.T - targets
-        return TraceResult(
-            positions, votes, locks, start_position.copy(), residuals
-        )
+        return TraceResult(positions, votes, locks, start_position.copy())
 
     def trace_all(
         self, series: list[PairSeries], start_positions: np.ndarray
@@ -208,7 +201,7 @@ class GridTracer:
         locks = lock_lobes(
             series, start_world, self.wavelength, self.round_trip, index=0
         )
-        bank = PairBank.from_series(series)  # built once, reused every step
+        pairs = [entry.pair for entry in series]
         delta = np.stack([entry.delta_phi for entry in series])
 
         offsets = np.arange(-self.radius, self.radius + self.step / 2, self.step)
@@ -221,7 +214,8 @@ class GridTracer:
         for step_index in range(steps):
             neighbourhood = current + cell
             world = self.plane.to_world(neighbourhood)
-            vote_values = bank.total_votes(
+            vote_values = total_votes_reference(
+                pairs,
                 delta[:, step_index],
                 world,
                 self.wavelength,

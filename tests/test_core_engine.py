@@ -2,7 +2,8 @@
 the literal per-pair / per-step implementations they replaced.
 
 * ``PairBank.total_votes`` vs :func:`tests.oracles.total_votes_reference`
-  to 1e-9 on random grids (free, fully locked, and mixed-lock votes);
+  to 1e-9 on random grids, and the tracer's lobe-locked per-step votes
+  vs the reference under the trace's locks;
 * ``BatchedTracer`` vs the scipy :class:`tests.oracles.TrajectoryTracer` within 1e-4 m
   across three scenarios — an ideal LOS word, a multipath channel, and
   noisy phases — plus a degenerate single-sample series.
@@ -82,37 +83,31 @@ class TestVoteEquivalence:
         )
         assert np.abs(reference - engine).max() < 1e-9
 
-    def test_locked_votes_match_reference(
-        self, snapshot, random_points, wavelength, plane
-    ):
-        start = plane.to_world(np.array([1.2, 1.3]))
-        locks = {
-            pair.ids: int(
-                np.round(2.0 * pair.path_difference(start) / wavelength - phi / (2 * np.pi))
+    def test_locked_votes_match_reference(self, deployment, plane, wavelength):
+        """The package's one lobe-locked vote is the tracer's per-step
+        vote: at every solved position it is the literal per-pair Eq. 7
+        sum under that trace's locks."""
+        uv = word_like_uv()
+        times = np.linspace(0, 3.5, uv.shape[0])
+        series = ideal_pair_series(deployment, plane, uv, times, wavelength)
+        pairs = [entry.pair for entry in series]
+        delta = np.stack([entry.delta_phi for entry in series])
+        starts = np.stack([uv[0], uv[0] + np.array([0.2, -0.1])])
+        for trace in BatchedTracer(plane, wavelength).trace_all(series, starts):
+            world = plane.to_world(trace.positions)
+            reference = np.array(
+                [
+                    total_votes_reference(
+                        pairs,
+                        delta[:, step],
+                        world[step],
+                        wavelength,
+                        locks=trace.locks,
+                    )[0]
+                    for step in range(len(trace))
+                ]
             )
-            for pair, phi in zip(snapshot.pairs, snapshot.delta_phi)
-        }
-        reference = total_votes_reference(
-            snapshot.pairs, snapshot.delta_phi, random_points, wavelength,
-            locks=locks,
-        )
-        engine = PairBank(snapshot.pairs).total_votes(
-            snapshot.delta_phi, random_points, wavelength, locks=locks
-        )
-        assert np.abs(reference - engine).max() < 1e-9
-
-    def test_mixed_locks_match_reference(
-        self, snapshot, random_points, wavelength
-    ):
-        locks = {pair.ids: 1 for pair in snapshot.pairs[::2]}
-        reference = total_votes_reference(
-            snapshot.pairs, snapshot.delta_phi, random_points, wavelength,
-            locks=locks,
-        )
-        engine = PairBank(snapshot.pairs).total_votes(
-            snapshot.delta_phi, random_points, wavelength, locks=locks
-        )
-        assert np.abs(reference - engine).max() < 1e-9
+            assert np.abs(reference - trace.votes).max() < 1e-9
 
     def test_public_total_votes_is_engine_backed(
         self, snapshot, random_points, wavelength
@@ -186,9 +181,6 @@ def _assert_traces_match(reference, batched, tol=1e-4):
     assert gap < tol, f"trajectory gap {gap:.2e} m"
     assert batched.votes.shape == reference.votes.shape
     np.testing.assert_allclose(batched.votes, reference.votes, atol=1e-5)
-    np.testing.assert_allclose(
-        batched.residuals, reference.residuals, atol=1e-5
-    )
 
 
 class TestTracerEquivalence:
@@ -270,7 +262,7 @@ class TestTracerEquivalence:
         for start, result in zip(starts, batch):
             _assert_traces_match(reference.trace(series, start), result)
 
-    @pytest.mark.parametrize("loss", ["linear", "soft_l1", "huber", "cauchy"])
+    @pytest.mark.parametrize("loss", ["linear", "soft_l1"])
     def test_all_losses(self, deployment, plane, wavelength, rng, loss):
         series, uv = self.make_noisy_series(deployment, plane, wavelength, rng)
         reference, batched = _tracer_pair(plane, wavelength, loss=loss)
@@ -377,7 +369,6 @@ class TestIncrementalStepAPI:
         for ours, theirs in zip(stepwise, batch):
             assert np.array_equal(ours.positions, theirs.positions)
             assert np.array_equal(ours.votes, theirs.votes)
-            assert np.array_equal(ours.residuals, theirs.residuals)
             assert ours.locks == theirs.locks
 
     def test_running_votes_accumulate(
@@ -391,13 +382,13 @@ class TestIncrementalStepAPI:
             delta[:, 0],
             uv[0][np.newaxis, :],
         )
-        assert np.array_equal(state.running_total_votes(), np.zeros(1))
+        assert np.array_equal(state.running, np.zeros(1))
         total = 0.0
         for step in range(delta.shape[1]):
             _, votes = tracer.step(state, delta[:, step])
             total += float(votes[0])
         assert state.step_count == delta.shape[1]
-        assert state.running_total_votes()[0] == pytest.approx(total)
+        assert state.running[0] == pytest.approx(total)
 
     def test_begin_validates_inputs(self, deployment, plane, wavelength, rng):
         series, uv = self.make_series(deployment, plane, wavelength, rng)
@@ -496,7 +487,6 @@ class TestCandidatePruning:
             theirs = batch[index]
             assert np.array_equal(ours.positions, theirs.positions)
             assert np.array_equal(ours.votes, theirs.votes)
-            assert np.array_equal(ours.residuals, theirs.residuals)
             assert ours.locks == theirs.locks
         winner_row = int(np.argmax([t.total_vote for t in pruned]))
         assert indices[winner_row] == batch_winner
@@ -548,7 +538,7 @@ class TestCandidatePruning:
         frozen: dict[int, float] = {}
         for step in range(delta.shape[1]):
             tracer.step(state, delta[:, step])
-            running = state.running_total_votes()
+            running = state.running
             for index in state.pruned_at:
                 if index in frozen:
                     assert running[index] == frozen[index]
@@ -640,7 +630,6 @@ class TestStepMany:
             for exp, got in zip(exp_traces, got_traces):
                 assert np.array_equal(exp.positions, got.positions)
                 assert np.array_equal(exp.votes, got.votes)
-                assert np.array_equal(exp.residuals, got.residuals)
                 assert exp.locks == got.locks
 
     def test_merged_preserves_pruning(self, deployment, plane, wavelength, rng):

@@ -30,7 +30,6 @@ def _assert_results_identical(expected, got):
     for theirs, ours in zip(expected.traces, got.traces):
         assert np.array_equal(ours.positions, theirs.positions)
         assert np.array_equal(ours.votes, theirs.votes)
-        assert np.array_equal(ours.residuals, theirs.residuals)
         assert ours.locks == theirs.locks
         assert np.array_equal(
             ours.initial_position, theirs.initial_position

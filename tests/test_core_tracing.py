@@ -87,7 +87,9 @@ class TestTrajectoryTracer:
     def test_mean_vote(self, plane, wavelength, circle_series):
         series, uv = circle_series
         result = TrajectoryTracer(plane, wavelength).trace(series, uv[0])
-        assert result.mean_vote == pytest.approx(result.total_vote / len(result))
+        assert result.votes.mean() == pytest.approx(
+            result.total_vote / len(result)
+        )
 
     def test_empty_series_rejected(self, plane, wavelength):
         tracer = TrajectoryTracer(plane, wavelength)
@@ -110,8 +112,16 @@ class TestTracerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             TracerConfig(max_step=0.0)
-        with pytest.raises(ValueError):
-            TracerConfig(loss="l0")
+        for loss in ("l0", "huber", "cauchy"):
+            with pytest.raises(ValueError, match="unsupported loss"):
+                TracerConfig(loss=loss)
+
+    @pytest.mark.parametrize("scale", [0.0, -0.12, float("nan")])
+    def test_loss_scale_must_be_positive(self, scale):
+        # A zero scale would freeze the tracer in place; a negative one
+        # traces like its absolute value under a different merge key.
+        with pytest.raises(ValueError, match="loss_scale"):
+            TracerConfig(loss_scale=scale)
 
 
 class TestGridTracer:

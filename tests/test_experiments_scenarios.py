@@ -130,8 +130,9 @@ class TestSimulateWords:
         assert len(batch) == len(self.JOBS)
         self._assert_runs_match(batch)
 
-    def test_threaded_matches_serial(self):
-        batch = simulate_words(self.JOBS, run_baseline=False, max_workers=3)
+    def test_pooled_matches_serial(self):
+        batch = simulate_words(self.JOBS, run_baseline=False, max_workers=2)
+        assert len(batch) == len(self.JOBS)
         self._assert_runs_match(batch)
 
     def test_tuple_and_job_forms_agree(self):

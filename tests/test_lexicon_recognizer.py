@@ -124,19 +124,6 @@ class TestLexiconMode:
                 lexicon=build_lexicon(size=4000), shortlist=64, cache_size=8
             )
 
-    def test_facade_lexicon_knob(self):
-        recognizer = WordRecognizer(lexicon=build_lexicon(size=4000))
-        trace = HandwritingGenerator().word_trace("water")
-        assert recognizer.classify(trace.points) == "water"
-        result = recognizer.recognize(trace.points)
-        assert result.word == "water"
-
-    def test_dictionary_and_lexicon_exclusive(self):
-        with pytest.raises(ValueError):
-            WordRecognizer(
-                dictionary=("cat",), lexicon=build_lexicon(size=4000)
-            )
-
 
 class TestRecognizerFactory:
     def test_pickles_and_builds(self):
@@ -151,4 +138,3 @@ class TestRecognizerFactory:
     def test_default_builds_corpus_recognizer(self):
         recognizer = RecognizerFactory()()
         assert isinstance(recognizer, WordRecognizer)
-        assert recognizer._engine is None

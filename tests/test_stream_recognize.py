@@ -8,8 +8,8 @@ recogniser crash degrades to a counter — never to a lost session.
 """
 
 import dataclasses
+import pickle
 
-import numpy as np
 import pytest
 
 from repro.experiments.scenarios import ScenarioConfig, simulate_word
@@ -84,17 +84,16 @@ class TestFinalizeHook:
         assert results.stats.classified == 0
         assert results.stats.shortlist_hist == {}
 
-    def test_classify_only_recognizer_supported(self, word_run, word_log):
-        class Bare:
-            def classify(self, points):
-                return "dog"
-
-        manager = _manager(word_run, Bare())
-        results = manager.replay(word_log)
-        recognition = next(iter(manager.recognitions.values()))
-        assert recognition.word == "dog"
-        assert np.isnan(recognition.distance)
-        assert results.stats.classified == 1
+    def test_finalized_event_pickles_small(self, word_run, word_log):
+        # The wire form carries each candidate's trajectory, votes and
+        # locks, nothing per pair and step: 8 candidates × 125 steps of
+        # "dog" pickle to ~28 KB.
+        manager = _manager(word_run, None)
+        finalized = []
+        manager.on_session_finalized = lambda e: finalized.append(e.detached())
+        manager.replay(word_log)
+        assert len(finalized) == 1
+        assert len(pickle.dumps(finalized[0])) < 64 * 1024
 
     def test_recognizer_crash_degrades_to_a_counter(
         self, word_run, word_log

@@ -40,7 +40,7 @@ def _assert_results_equivalent(batch, stream):
     for ours, theirs in zip(stream.traces, batch.traces):
         assert np.abs(ours.positions - theirs.positions).max() <= TOLERANCE
         assert ours.locks == theirs.locks
-        assert np.abs(ours.residuals - theirs.residuals).max() <= TOLERANCE
+        assert np.abs(ours.votes - theirs.votes).max() <= TOLERANCE
 
 
 class TestStreamingMatchesBatch:
