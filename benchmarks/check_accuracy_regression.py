@@ -23,7 +23,14 @@ regressed:
 
 New scenarios (present only in the fresh run) are reported and allowed.
 It prints a baseline-vs-fresh trajectory table into the workflow log,
-like the bench gate does.
+like the bench gate does, then the platform each table was measured on
+(Python, numpy, machine; "unrecorded" for a table written before the
+runner recorded it) and the largest relative change of any median or
+p90 error. Trajectory errors differ between platforms in the last
+digits, so when the platforms differ or one is unrecorded the gate says
+that a claim of bit-identical scores can only be checked against a run
+of the parent commit on the same machine. None of this changes a pass
+or a failure.
 
 Usage (what ``.github/workflows/ci.yml`` runs)::
 
@@ -48,6 +55,60 @@ from pathlib import Path
 def load_scenarios(path: Path) -> dict[str, dict]:
     payload = json.loads(path.read_text(encoding="utf-8"))
     return {entry["scenario"]: entry for entry in payload["scenarios"]}
+
+
+def load_platform(path: Path) -> dict | None:
+    """The platform a score table was measured on, or ``None``."""
+    return json.loads(path.read_text(encoding="utf-8")).get("platform")
+
+
+def describe_platform(recorded: dict | None) -> str:
+    if not recorded:
+        return "unrecorded"
+    return (
+        f"Python {recorded.get('python', '?')}, "
+        f"numpy {recorded.get('numpy', '?')}, "
+        f"{recorded.get('machine', '?')}"
+    )
+
+
+def largest_error_change(
+    baseline: dict[str, dict], fresh: dict[str, dict]
+) -> tuple[float, str] | None:
+    """The largest relative change of a median or p90 trajectory error
+    over the scenarios both tables scored, with where it happened."""
+    largest = None
+    for name in sorted(set(baseline) & set(fresh)):
+        for key in ("median_error_m", "p90_error_m"):
+            before = baseline[name].get(key)
+            after = fresh[name].get(key)
+            if before is None or after is None or before == 0:
+                continue
+            change = abs(after / before - 1.0)
+            if largest is None or change > largest[0]:
+                largest = (change, f"{name} {key}")
+    return largest
+
+
+def report_drift(baseline_path: Path, fresh_path: Path,
+                 baseline: dict[str, dict], fresh: dict[str, dict]) -> None:
+    """Print both platforms and the largest error change (never fails)."""
+    base_platform = load_platform(baseline_path)
+    fresh_platform = load_platform(fresh_path)
+    print(f"\nbaseline platform: {describe_platform(base_platform)}")
+    print(f"fresh platform:    {describe_platform(fresh_platform)}")
+    largest = largest_error_change(baseline, fresh)
+    if largest is not None:
+        print(
+            f"largest relative median/p90 error change: {largest[0]:.3g} "
+            f"({largest[1]})"
+        )
+    if not base_platform or not fresh_platform or base_platform != fresh_platform:
+        print(
+            "the platforms differ or one is unrecorded: errors may differ "
+            "in the last digits, so a claim of bit-identical scores can "
+            "only be checked against a parent-commit run on this machine"
+        )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -185,6 +246,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"aggregate char accuracy {base_rate:.1%} -> {fresh_rate:.1%} "
                 f"(allowed drop {args.max_aggregate_drop:.0%})"
             )
+
+    report_drift(args.baseline, args.fresh, baseline, fresh)
 
     if failures:
         print("\nAccuracy/robustness gate FAILED:", file=sys.stderr)

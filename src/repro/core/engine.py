@@ -42,6 +42,7 @@ from repro.geometry.antennas import Antenna, AntennaPair
 from repro.geometry.plane import WritingPlane
 from repro.geometry.vectors import points_view
 from repro.rf.constants import DEFAULT_WAVELENGTH
+from repro.rf.noise import PhaseNoiseModel
 
 __all__ = [
     "PairBank",
@@ -52,6 +53,10 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
+
+#: The LM step tolerance as a fraction of the path difference that one
+#: reader phase quantum resolves (see :class:`BatchedTracer`).
+_QUANTUM_FRACTION = 1e-3
 
 
 class PairBank:
@@ -432,8 +437,30 @@ class BatchedTracer:
         round_trip: float = 2.0,
         config=None,
         max_iterations: int = 40,
-        step_tolerance: float = 1e-10,
+        step_tolerance: float | None = None,
     ) -> None:
+        """
+        Args:
+            plane: the writing plane the candidates move on.
+            wavelength: carrier wavelength in metres.
+            round_trip: path multiplier (2 for backscatter).
+            config: the :class:`~repro.core.tracing.TracerConfig` loss
+                and step box (default ``TracerConfig()``).
+            max_iterations: LM iterations allowed per time step.
+            step_tolerance: a candidate stops iterating once its
+                proposed move is shorter than this, in metres on the
+                plane. ``None`` (default) stops at the data's precision:
+                the reader reports phase in quanta of
+                ``PhaseNoiseModel.quantization = 2π/4096``, i.e. 1/4096
+                of a cycle of Δφ, and one cycle is ``λ / round_trip`` of
+                path difference — so one quantum resolves
+                ``λ / (round_trip · 4096)`` ≈ 40 µm at 922 MHz. The
+                default is a thousandth of that, ≈ 4.0e-8 m. A pair's
+                path difference changes by at most twice the tag's move,
+                so a step that short cannot move any residual by more
+                than 1/500 of a quantum; iterating further polishes
+                digits the measurement does not carry.
+        """
         from repro.core.tracing import TracerConfig
 
         self.plane = plane
@@ -441,6 +468,11 @@ class BatchedTracer:
         self.round_trip = round_trip
         self.config = config or TracerConfig()
         self.max_iterations = max_iterations
+        if step_tolerance is None:
+            quantum_cycles = PhaseNoiseModel.quantization / _TWO_PI
+            step_tolerance = (
+                wavelength * quantum_cycles / round_trip * _QUANTUM_FRACTION
+            )
         self.step_tolerance = step_tolerance
 
     # ------------------------------------------------------------------

@@ -195,13 +195,19 @@ class MultiResolutionPositioner:
         # step box and MINPACK's evaluation budget, like the unbounded
         # polish it replaced (a pick at the grid's edge may converge
         # outside it; one in the flat valley of a collinear constellation
-        # needs more than a tracer step's 40 iterations).
+        # needs more than a tracer step's 40 iterations). It keeps a tight
+        # 1e-10 m step tolerance instead of the tracer's default at the
+        # phase quantum (about 4e-8 m): in that flat valley the LM crawls,
+        # and a stop sized for steady-state tracking steps could end the
+        # crawl early, while a polish runs only once per warm-up, so its
+        # extra iterations cost little.
         self._tracer = BatchedTracer(
             plane,
             wavelength,
             round_trip,
             TracerConfig(loss="linear", max_step=np.inf),
             max_iterations=200,
+            step_tolerance=1e-10,
         )
 
     # ------------------------------------------------------------------

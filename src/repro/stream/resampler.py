@@ -28,9 +28,10 @@ which this code matches bit for bit:
 * **Instants** use the float operations of
   ``start + np.arange(count) / rate``; the live count tracks
   ``floor((end − start)·rate) + 1`` as ``end`` grows.
-* **Interpolation** evaluates ``numpy.interp`` on the two samples that
-  bracket the instant — the ones the full-array call uses — and an
-  instant is emitted live only once every antenna has a read past it.
+* **Interpolation** calls ``numpy.interp`` on each antenna's samples so
+  far, and an instant is emitted live only once every antenna has a
+  read past it: later reads cannot change the samples that bracket it,
+  so the value equals the full-array call's.
   The rest (the trailing edge, and the ``max(2, …)`` short-log
   timeline) comes out of :meth:`StreamResampler.drain`.
 """
@@ -38,9 +39,8 @@ which this code matches bit for bit:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -52,6 +52,7 @@ __all__ = ["PairSample", "StreamResampler", "resample_antennas", "resample_pairs
 
 _TWO_PI = 2.0 * np.pi
 _PI = np.pi
+_INITIAL_CAPACITY = 64
 
 
 @dataclass(frozen=True)
@@ -75,14 +76,25 @@ class PairSample:
     phases: np.ndarray | None = None
 
 
-@dataclass
 class _AntennaState:
-    """Growing unwrapped phase series of one antenna (one tag)."""
+    """Growing unwrapped phase series of one antenna (one tag).
 
-    times: list[float] = field(default_factory=list)
-    unwrapped: list[float] = field(default_factory=list)
-    _last_raw: float = 0.0
-    _correction: float = 0.0
+    The samples live in numpy buffers that double when full, so the
+    resampler interpolates a batch of instants with one ``np.interp``
+    call on buffer views instead of converting Python lists per instant.
+    """
+
+    __slots__ = ("times", "unwrapped", "count", "first_time", "last_time",
+                 "_last_raw", "_correction")
+
+    def __init__(self) -> None:
+        self.times = np.empty(_INITIAL_CAPACITY)
+        self.unwrapped = np.empty(_INITIAL_CAPACITY)
+        self.count = 0
+        self.first_time = math.nan
+        self.last_time = math.nan
+        self._last_raw = 0.0
+        self._correction = 0.0
 
     def append(self, time: float, phase: float) -> None:
         """Fold one wrapped phase sample in, replicating ``np.unwrap``.
@@ -94,38 +106,30 @@ class _AntennaState:
         used in place of their ``np`` spellings — same float semantics,
         a fraction of the per-report overhead.)
         """
-        if self.times:
+        count = self.count
+        if count:
             dd = phase - self._last_raw
             ddmod = (dd + _PI) % _TWO_PI - _PI
             if ddmod == -_PI and dd > 0:
                 ddmod = _PI
             if abs(dd) >= _PI:
                 self._correction += ddmod - dd
+        else:
+            self.first_time = time
         self._last_raw = phase
-        self.times.append(time)
-        self.unwrapped.append(phase + self._correction)
+        if count == self.times.size:
+            self.times = np.concatenate([self.times, np.empty(count)])
+            self.unwrapped = np.concatenate([self.unwrapped, np.empty(count)])
+        self.times[count] = time
+        self.unwrapped[count] = phase + self._correction
+        self.count = count + 1
+        self.last_time = time
 
-    @property
-    def first_time(self) -> float:
-        return self.times[0]
-
-    @property
-    def last_time(self) -> float:
-        return self.times[-1]
-
-    def value_at(self, when: float) -> float:
-        """``np.interp`` of the unwrapped series at ``when``.
-
-        Evaluated on the bracketing sample pair, which is exactly what
-        the full-array call computes; past-the-end instants clamp to the
-        last value, matching ``np.interp``'s edge behaviour.
-        """
-        i = bisect_right(self.times, when) - 1
-        if i < 0:  # before the first sample: np.interp clamps
-            return self.unwrapped[0]
-        return float(
-            np.interp(when, self.times[i : i + 2], self.unwrapped[i : i + 2])
-        )
+    def values_at(self, whens: np.ndarray) -> np.ndarray:
+        """``np.interp`` of the unwrapped series at every instant of
+        ``whens`` (edges clamp, as ``np.interp`` does)."""
+        count = self.count
+        return np.interp(whens, self.times[:count], self.unwrapped[:count])
 
 
 class StreamResampler:
@@ -222,22 +226,29 @@ class StreamResampler:
         Reports from antennas no pair references are ignored, exactly as
         the batch path never reads them.
         """
+        if not self._fold(report):
+            return []
+        return self._emit_ready()
+
+    def _fold(self, report: PhaseReport) -> bool:
+        """Append one report to its antenna's series; ``False`` when it
+        is ignored or dropped."""
         state = self._antennas.get(report.antenna_id)
         if state is None:
-            return []
+            return False
         if not math.isfinite(report.phase):
             if self.out_of_order == "drop":
                 self.dropped_reports += 1
                 self.dropped_nonfinite += 1
-                return []
+                return False
             raise ValueError(
                 f"non-finite phase sample from antenna {report.antenna_id} "
                 f"at t={report.time}"
             )
-        if state.times and report.time < state.last_time:
+        if state.count and report.time < state.last_time:
             if self.out_of_order == "drop":
                 self.dropped_reports += 1
-                return []
+                return False
             raise ValueError(
                 f"out-of-order report for antenna {report.antenna_id}: "
                 f"{report.time} after {state.last_time}"
@@ -246,11 +257,11 @@ class StreamResampler:
         self._last_times[report.antenna_id] = report.time
         if self._start is None:
             self._maybe_start()
-        return self._emit_ready()
+        return True
 
     def _maybe_start(self) -> None:
         if any(
-            len(state.times) < max(1, self.min_reads_per_antenna)
+            state.count < max(1, self.min_reads_per_antenna)
             for state in self._states
         ):
             return
@@ -296,25 +307,32 @@ class StreamResampler:
         """Samples of the instants before ``count`` and below ``frontier``.
 
         Instant ``j`` is ``start + j / rate``, with the float operations
-        of ``start + np.arange(count) / rate``.
+        of ``start + np.arange(count) / rate``. Each antenna interpolates
+        the whole batch of instants in one ``np.interp`` call.
         """
-        emitted: list[PairSample] = []
-        while self._next_index < count:
-            when = float(self._start + float(self._next_index) / self.sample_rate)
+        first = index = self._next_index
+        whens = []
+        while index < count:
+            when = float(self._start + float(index) / self.sample_rate)
             if when >= frontier:
                 break
-            emitted.append(self._sample_at(self._next_index, when))
-            self._next_index += 1
-        return emitted
-
-    def _sample_at(self, index: int, when: float) -> PairSample:
-        phases = np.array([state.value_at(when) for state in self._states])
-        return PairSample(
-            index=index,
-            time=when,
-            delta_phi=phases[self._second] - phases[self._first],
-            phases=phases,
-        )
+            whens.append(when)
+            index += 1
+        if not whens:
+            return []
+        self._next_index = index
+        grid = np.array(whens)
+        phases = np.array([state.values_at(grid) for state in self._states])
+        deltas = phases[self._second] - phases[self._first]  # (P, K)
+        return [
+            PairSample(
+                index=first + column,
+                time=when,
+                delta_phi=deltas[:, column],
+                phases=phases[:, column],
+            )
+            for column, when in enumerate(whens)
+        ]
 
     def timeline(self) -> np.ndarray:
         """The emitted instants so far, as the batch array would hold them."""
@@ -323,10 +341,16 @@ class StreamResampler:
         return self._start + np.arange(self._next_index) / self.sample_rate
 
     def _run(self, reports: list[PhaseReport]) -> list[PairSample]:
-        """Every instant of a finished, time-sorted, finite stream."""
-        samples = [sample for report in reports for sample in self.ingest(report)]
-        samples.extend(self.drain())
-        return samples
+        """Every instant of a finished, time-sorted, finite stream.
+
+        Every report is folded in before anything is emitted, so
+        :meth:`drain` interpolates the whole timeline in one batch —
+        the same samples live ingestion would emit, since an instant's
+        value depends only on the reads that bracket it.
+        """
+        for report in reports:
+            self._fold(report)
+        return self.drain()
 
 
 def _finite_reads(

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import platform
 import traceback
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -332,10 +333,20 @@ def format_scores(scores: list[ScenarioScore]) -> str:
 def write_scores(
     scores: list[ScenarioScore], path, config_name: str = ""
 ) -> None:
-    """Write the machine-readable score table (the gate's input)."""
+    """Write the machine-readable score table (the gate's input).
+
+    The table records the platform it was measured on: trajectory errors
+    differ between machines in the last digits, so the gate can say when
+    two tables cannot be compared bit for bit.
+    """
     payload = {
         "config": config_name,
         "generated_by": "python -m repro.testbed run",
+        "platform": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+        },
         "scenarios": [score.as_dict() for score in scores],
     }
     Path(path).write_text(

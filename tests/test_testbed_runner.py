@@ -12,6 +12,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.testbed import (
@@ -179,6 +180,8 @@ class TestMatrixRun:
         )
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["config"] == "tiny"
+        assert payload["platform"]["numpy"] == np.__version__
+        assert set(payload["platform"]) == {"python", "numpy", "machine"}
 
 
 # ----------------------------------------------------------------------
@@ -215,12 +218,15 @@ def score_entry(name, median=0.02, acc=1.0, completed=True, recovered=True,
     }
 
 
-def write_table(path, entries):
-    path.write_text(json.dumps({
+def write_table(path, entries, platform=None):
+    payload = {
         "config": "gate-test",
         "generated_by": "test",
         "scenarios": entries,
-    }), encoding="utf-8")
+    }
+    if platform is not None:
+        payload["platform"] = platform
+    path.write_text(json.dumps(payload), encoding="utf-8")
     return path
 
 
@@ -312,6 +318,27 @@ class TestAccuracyGate:
             gate, tmp_path, baseline, fresh,
             extra=["--max-error-regression", "1.5"],
         ) == 0
+
+    def test_platform_drift_is_reported_not_judged(self, gate, tmp_path, capsys):
+        here = {"python": "3.11.9", "numpy": "2.1.0", "machine": "x86_64"}
+        there = dict(here, machine="arm64")
+        baseline = [score_entry("a", median=0.020)]
+        fresh = [score_entry("a", median=0.020 * (1 + 2e-9))]
+
+        def gate_output(base_platform, fresh_platform):
+            base = write_table(tmp_path / "base.json", baseline, base_platform)
+            new = write_table(tmp_path / "fresh.json", fresh, fresh_platform)
+            assert gate.main(["--baseline", str(base), "--fresh", str(new)]) == 0
+            return capsys.readouterr().out
+
+        same = gate_output(here, here)
+        assert "baseline platform: Python 3.11.9, numpy 2.1.0, x86_64" in same
+        assert "largest relative median/p90 error change: 2e-09" in same
+        assert "parent-commit run" not in same
+        for base_platform, fresh_platform in ((here, there), (None, here)):
+            out = gate_output(base_platform, fresh_platform)
+            assert "parent-commit run" in out
+        assert "baseline platform: unrecorded" in out
 
     def test_committed_baseline_is_gate_clean(self, gate, capsys):
         """The committed baseline passes the gate against itself."""
