@@ -52,14 +52,12 @@ import sys
 from pathlib import Path
 
 
-def load_scenarios(path: Path) -> dict[str, dict]:
+def load_table(path: Path) -> tuple[dict[str, dict], dict | None]:
+    """A score table's scenarios by name, and the platform it was
+    measured on (``None`` when unrecorded)."""
     payload = json.loads(path.read_text(encoding="utf-8"))
-    return {entry["scenario"]: entry for entry in payload["scenarios"]}
-
-
-def load_platform(path: Path) -> dict | None:
-    """The platform a score table was measured on, or ``None``."""
-    return json.loads(path.read_text(encoding="utf-8")).get("platform")
+    scenarios = {entry["scenario"]: entry for entry in payload["scenarios"]}
+    return scenarios, payload.get("platform")
 
 
 def describe_platform(recorded: dict | None) -> str:
@@ -90,11 +88,10 @@ def largest_error_change(
     return largest
 
 
-def report_drift(baseline_path: Path, fresh_path: Path,
-                 baseline: dict[str, dict], fresh: dict[str, dict]) -> None:
+def report_drift(baseline: dict[str, dict], fresh: dict[str, dict],
+                 base_platform: dict | None,
+                 fresh_platform: dict | None) -> None:
     """Print both platforms and the largest error change (never fails)."""
-    base_platform = load_platform(baseline_path)
-    fresh_platform = load_platform(fresh_path)
     print(f"\nbaseline platform: {describe_platform(base_platform)}")
     print(f"fresh platform:    {describe_platform(fresh_platform)}")
     largest = largest_error_change(baseline, fresh)
@@ -132,8 +129,8 @@ def main(argv: list[str] | None = None) -> int:
                              "aggregated over all scenarios")
     args = parser.parse_args(argv)
 
-    baseline = load_scenarios(args.baseline)
-    fresh = load_scenarios(args.fresh)
+    baseline, base_platform = load_table(args.baseline)
+    fresh, fresh_platform = load_table(args.fresh)
     failures: list[str] = []
 
     def err_cell(entry) -> str:
@@ -247,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"(allowed drop {args.max_aggregate_drop:.0%})"
             )
 
-    report_drift(args.baseline, args.fresh, baseline, fresh)
+    report_drift(baseline, fresh, base_platform, fresh_platform)
 
     if failures:
         print("\nAccuracy/robustness gate FAILED:", file=sys.stderr)

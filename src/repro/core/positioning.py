@@ -197,7 +197,7 @@ class MultiResolutionPositioner:
         # outside it; one in the flat valley of a collinear constellation
         # needs more than a tracer step's 40 iterations). It keeps a tight
         # 1e-10 m step tolerance instead of the tracer's default at the
-        # phase quantum (about 4e-8 m): in that flat valley the LM crawls,
+        # phase quantum (about 1e-9 m): in that flat valley the LM crawls,
         # and a stop sized for steady-state tracking steps could end the
         # crawl early, while a polish runs only once per warm-up, so its
         # extra iterations cost little.
