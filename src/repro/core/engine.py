@@ -467,7 +467,7 @@ class BatchedTracer:
                 benchmark holds the pruned steady state to 1.25× cheaper
                 than the unpruned one; it measured 1.1–1.2× at 1/1000
                 and 1/10000 of a quantum, 1.22–1.37× at 1/20000 and
-                1.45–1.49× at 1/40000 (2-core x86 VM).
+                1.44–1.49× at 1/40000 (2-core x86 VM).
         """
         from repro.core.tracing import TracerConfig
 
