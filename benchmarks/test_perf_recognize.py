@@ -31,11 +31,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.scenarios import ScenarioConfig, simulate_word
-from repro.handwriting.dtw import dtw_distance
+from repro.handwriting.dtw import dtw_distance_many
 from repro.handwriting.generator import HandwritingGenerator, UserStyle
 from repro.handwriting.recognizer import normalize_trajectory
-from repro.lexicon import LexiconRecognizer, default_lexicon, dtw_distance_many
+from repro.lexicon import LexiconRecognizer, default_lexicon
 from repro.lexicon.recognizer import _ABANDON_SLACK, _SCORE_CHUNK
+from tests.oracles.dtw import dtw_distance
 
 from bench_io import timed as _timed, timed_interleaved, update_bench
 

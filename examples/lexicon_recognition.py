@@ -9,8 +9,12 @@ batched banded-DTW kernel that scores the whole shortlist in one numpy
 sweep. Three API layers, from lowest to highest:
 
 1. **The batched kernel** — ``dtw_distance_many(query, templates,
-   band)`` is the vectorized twin of the scalar ``dtw_distance`` spec
-   (identical to ≤1e-9, with per-template early-abandon)::
+   band)`` from :mod:`repro.handwriting.dtw` (re-exported by
+   :mod:`repro.lexicon`) is the package's one DTW kernel: every
+   recogniser scores its template stack with it, with per-template
+   early-abandon::
+
+       from repro.handwriting.dtw import dtw_distance_many
 
        distances = dtw_distance_many(query, template_stack, band=16)
 

@@ -119,9 +119,12 @@ def run(
         )
     rf = result.column("rfidraw_percent")
     arr = result.column("arrays_percent")
+    paper_rf, paper_arr = PAPER["rfidraw_percent"], PAPER["arrays_percent"]
     result.add_note(
-        f"RF-IDraw success stays high across distance ({min(rf):.0f}–"
-        f"{max(rf):.0f} %); arrays stay near the 3.8 % random-guess floor "
-        f"({min(arr):.1f}–{max(arr):.1f} %)"
+        f"RF-IDraw recognises {min(rf):.0f}–{max(rf):.0f} % of characters "
+        f"across distance (paper: {min(paper_rf):.1f}–{max(paper_rf):.1f} %); "
+        f"arrays {min(arr):.1f}–{max(arr):.1f} % against the 3.8 % "
+        f"random-guess floor (paper: {min(paper_arr):.1f}–"
+        f"{max(paper_arr):.1f} %)"
     )
     return result

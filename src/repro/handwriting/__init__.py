@@ -13,7 +13,8 @@ We do not have users or MyScript, so this subpackage builds both halves:
 * :mod:`repro.handwriting.generator` — turns a word into a continuous,
   time-parametrised air-writing trajectory with per-user style variation
   (slant, scale jitter, tremor, speed).
-* :mod:`repro.handwriting.dtw` — dynamic time warping.
+* :mod:`repro.handwriting.dtw` — dynamic time warping: one banded kernel
+  that scores a query against a whole template stack at once.
 * :mod:`repro.handwriting.recognizer` — template DTW recognisers for
   characters and dictionary words (the MyScript substitute).
 """
@@ -25,7 +26,7 @@ from repro.handwriting.generator import (
     UserStyle,
     WritingTrace,
 )
-from repro.handwriting.dtw import dtw_distance
+from repro.handwriting.dtw import dtw_distance_many
 from repro.handwriting.recognizer import CharacterRecognizer, WordRecognizer
 
 __all__ = [
@@ -38,7 +39,7 @@ __all__ = [
     "HandwritingGenerator",
     "UserStyle",
     "WritingTrace",
-    "dtw_distance",
+    "dtw_distance_many",
     "CharacterRecognizer",
     "WordRecognizer",
 ]

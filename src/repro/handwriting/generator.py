@@ -23,26 +23,112 @@ import numpy as np
 
 from repro.handwriting.font import StrokeFont, default_font
 
-__all__ = ["UserStyle", "WritingTrace", "HandwritingGenerator", "resample_polyline"]
+__all__ = [
+    "UserStyle",
+    "WritingTrace",
+    "HandwritingGenerator",
+    "resample_polyline",
+    "resample_polylines",
+]
 
 
 def resample_polyline(points: np.ndarray, count: int) -> np.ndarray:
     """Resample a polyline to ``count`` points equally spaced by arc length."""
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] < 2:
+    if points.ndim != 2:
         raise ValueError("need at least two points to resample")
-    if count < 2:
+    return resample_polylines(points, [0, len(points)], [count])[0]
+
+
+def resample_polylines(
+    flat: np.ndarray, starts, counts
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`resample_polyline` applied to many polylines at once.
+
+    Polyline ``w`` is ``flat[starts[w]:starts[w + 1]]`` and becomes
+    ``counts[w]`` points; each comes out bit for bit as
+    ``resample_polyline`` on its own would give it: its own cumulative
+    arc length from 0, ``np.linspace(0, total, count)`` targets (the
+    last one exactly ``total``), and ``np.interp``'s formula and end
+    rules; a polyline of zero length repeats its first point. Only the
+    cumulative sum and the target search run per polyline (they must
+    restart at each polyline to stay exact); the interpolation is one
+    vectorised pass over every target.
+
+    Args:
+        flat: ``(P, D)`` points of all polylines, back to back.
+        starts: ``(W + 1,)`` polyline boundary offsets into ``flat``.
+        counts: ``(W,)`` output points per polyline.
+
+    Returns:
+        ``(points, starts)`` — the ``(sum(counts), D)`` resampled points
+        and their ``(W + 1,)`` boundary offsets.
+    """
+    flat = np.asarray(flat, dtype=float)
+    starts = np.asarray(starts, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    firsts, ends = starts[:-1], starts[1:]
+    if (ends - firsts < 2).any():
+        raise ValueError("need at least two points to resample")
+    if (counts < 2).any():
         raise ValueError("count must be at least 2")
-    deltas = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    cumulative = np.concatenate([[0.0], np.cumsum(deltas)])
-    total = cumulative[-1]
-    if total == 0.0:
-        return np.repeat(points[:1], count, axis=0)
-    targets = np.linspace(0.0, total, count)
-    out = np.empty((count, points.shape[1]))
-    for axis in range(points.shape[1]):
-        out[:, axis] = np.interp(targets, cumulative, points[:, axis])
-    return out
+    out_starts = np.concatenate([[0], np.cumsum(counts)])
+    if not len(counts):
+        return np.empty((0, flat.shape[1])), out_starts
+
+    # Segment lengths, summed over the axes in order (for 2-D points the
+    # same single addition as ``np.linalg.norm(..., axis=1)``).
+    seg = np.diff(flat, axis=0)
+    lengths = seg[:, 0] * seg[:, 0]
+    for axis in range(1, flat.shape[1]):
+        lengths += seg[:, axis] * seg[:, axis]
+    np.sqrt(lengths, out=lengths)
+
+    # Per polyline: cumulative arc length, the linspace targets, and the
+    # np.interp bracket j — the last vertex with cum[j] <= target,
+    # searched among all but the final vertex so every j has a segment.
+    cum = np.zeros(len(flat))
+    targets = np.empty(out_starts[-1])
+    j = np.empty(out_starts[-1], dtype=np.int64)
+    ramp = np.arange(counts.max(), dtype=float)
+    for s, e, o, c in zip(
+        firsts.tolist(), ends.tolist(), out_starts.tolist(), counts.tolist()
+    ):
+        xp = cum[s:e]
+        np.cumsum(lengths[s : e - 1], out=xp[1:])
+        total = xp[-1]
+        x = targets[o : o + c]
+        step = total / (c - 1)
+        if step > 0.0:
+            np.multiply(ramp[:c], step, out=x)
+        else:  # linspace's rule when the step underflows
+            np.multiply(ramp[:c] / (c - 1), total, out=x)
+        x[-1] = total
+        j[o : o + c] = np.searchsorted(xp[:-1], x, side="right")
+    j += np.repeat(firsts - 1, counts)
+
+    # np.interp: slope * (x - xp[j]) + fp[j]. Only the rows overwritten
+    # below (each polyline's end, zero-length polylines) can divide by 0.
+    x0 = cum[j]
+    offset = targets - x0
+    span = cum[j + 1] - x0
+    out = np.empty((len(targets), flat.shape[1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for axis in range(flat.shape[1]):
+            column = flat[:, axis]
+            y0 = column[j]
+            value = column[j + 1] - y0
+            value /= span
+            value *= offset
+            value += y0
+            out[:, axis] = value
+    out[out_starts[1:] - 1] = flat[ends - 1]
+    still = cum[ends - 1] == 0.0
+    if still.any():
+        out[np.repeat(still, counts)] = np.repeat(
+            flat[firsts[still]], counts[still], axis=0
+        )
+    return out, out_starts
 
 
 def _chaikin(points: np.ndarray, iterations: int) -> np.ndarray:

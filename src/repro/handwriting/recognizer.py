@@ -8,18 +8,18 @@ paper's "< 4 %, equivalent to a random guess" for the baseline).
 
 Characters are matched against per-letter templates rendered from the same
 stroke font with a handful of slant/aspect variants. Words are matched
-against trajectories synthesised on demand for dictionary candidates,
-pre-filtered by cheap shape features so only a shortlist pays for DTW.
+against templates rendered for every dictionary word at construction,
+pre-filtered by a linear-alignment distance so only a shortlist pays for
+DTW. Both score their templates with the one batched DTW kernel,
+:func:`repro.handwriting.dtw.dtw_distance_many`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.handwriting.corpus import CORPUS
-from repro.handwriting.dtw import dtw_distance
+from repro.handwriting.dtw import dtw_distance_many
 from repro.handwriting.font import StrokeFont, default_font
 from repro.handwriting.generator import (
     HandwritingGenerator,
@@ -87,23 +87,14 @@ def normalize_resampled(points: np.ndarray, deslant: bool = False) -> np.ndarray
     return out / height[..., None, None]
 
 
-@dataclass(frozen=True)
-class _Template:
-    label: str
-    points: np.ndarray
-    path_ratio: float
-    aspect: float
-
-
-def _shape_features(normalized: np.ndarray) -> tuple[float, float]:
-    """(ink length / height, width / height) of a normalised trajectory."""
-    length = float(np.linalg.norm(np.diff(normalized, axis=0), axis=1).sum())
-    width = float(normalized[:, 0].max() - normalized[:, 0].min())
-    return length, width
-
-
 class CharacterRecognizer:
-    """Nearest-template DTW classifier over single characters."""
+    """Nearest-template DTW classifier over single characters.
+
+    Every letter is rendered once per style variant at construction;
+    the templates are one read-only ``(T, resample, 2)`` stack
+    (``templates``) with one label per row (``template_labels``), and a
+    query is scored against all of them in one DTW kernel call.
+    """
 
     #: Style variants every template letter is rendered with.
     _VARIANTS = (
@@ -124,39 +115,42 @@ class CharacterRecognizer:
         self.resample = resample
         self.band = band
         chars = characters or "abcdefghijklmnopqrstuvwxyz"
-        self._templates: list[_Template] = []
-        for char in chars:
-            for style in self._VARIANTS:
-                generator = HandwritingGenerator(style=style, font=self.font)
-                trace = generator.letter_trace(char)
-                normalized = normalize_trajectory(trace.points, self.resample)
-                length, width = _shape_features(normalized)
-                self._templates.append(
-                    _Template(char, normalized, length, width)
+        generators = [
+            HandwritingGenerator(style=style, font=self.font)
+            for style in self._VARIANTS
+        ]
+        self.template_labels = np.array(
+            [char for char in chars for _ in generators]
+        )
+        self.templates = np.stack(
+            [
+                normalize_trajectory(
+                    generator.letter_trace(char).points, self.resample
                 )
+                for char in chars
+                for generator in generators
+            ]
+        )
+        self.templates.setflags(write=False)
+        self.template_labels.setflags(write=False)
 
     @property
     def labels(self) -> list[str]:
-        return sorted({template.label for template in self._templates})
+        return sorted(set(self.template_labels.tolist()))
 
     def scores(self, points: np.ndarray) -> dict[str, float]:
         """Best DTW distance per character label (lower is better).
 
-        Labels whose every template was early-abandoned report ``inf`` —
-        they are certainly worse than the current best.
+        Every template is scored in full (no early abandon), so each
+        label reports its own best distance.
         """
         query = normalize_trajectory(points, self.resample)
-        best: dict[str, float] = {
-            template.label: np.inf for template in self._templates
-        }
-        bound = np.inf
-        for template in self._templates:
-            distance = dtw_distance(
-                query, template.points, band=self.band, early_abandon=bound * 4
-            )
-            if distance < best[template.label]:
-                best[template.label] = distance
-                bound = min(bound, distance)
+        distances = dtw_distance_many(query, self.templates, band=self.band)
+        labels = self.template_labels.tolist()
+        best = dict.fromkeys(labels, np.inf)
+        for label, distance in zip(labels, distances.tolist()):
+            if distance < best[label]:
+                best[label] = distance
         return best
 
     def classify(self, points: np.ndarray) -> str:
@@ -211,14 +205,8 @@ class WordRecognizer:
         # processes.
         matrix = neutral_templates(self.dictionary, self.resample, self.font)
         matrix.setflags(write=False)  # (W, resample, 2); rows are views
-        self._templates = {
-            word: _Template(word, points, *_shape_features(points))
-            for word, points in zip(self.dictionary, matrix)
-        }
+        self._templates = dict(zip(self.dictionary, matrix))
         self._matrix = matrix
-
-    def _template(self, word: str) -> _Template:
-        return self._templates[word]
 
     def shortlist_for(self, query: np.ndarray) -> list[str]:
         """Dictionary candidates ranked by linear-alignment distance.
@@ -235,11 +223,9 @@ class WordRecognizer:
 
     def scores(self, points: np.ndarray) -> dict[str, float]:
         """DTW distance for the shortlisted dictionary candidates."""
-        from repro.lexicon.dtw_batch import dtw_distance_many
-
         query = normalize_trajectory(points, self.resample, deslant=True)
         words = self.shortlist_for(query)
-        stack = np.stack([self._templates[word].points for word in words])
+        stack = np.stack([self._templates[word] for word in words])
         distances = dtw_distance_many(query, stack, band=self.band)
         return {
             word: float(distance)
@@ -252,9 +238,7 @@ class WordRecognizer:
 
         results = self.scores(points)
         ranked = sorted(results.items(), key=lambda item: item[1])
-        word, distance = min(
-            results.items(), key=lambda item: item[1]
-        )
+        word, distance = ranked[0]
         return RecognitionResult(
             word=word,
             distance=float(distance),

@@ -3,14 +3,15 @@
 Scales the repo's recognition dictionary ~100× over the embedded
 corpus: a deterministic 100k-word lexicon with persisted shape features
 (`store`), a trie + feature index that prunes each query to a small
-shortlist (`index`), and a batched banded-DTW kernel that scores the
-whole shortlist in one vectorised recurrence (`dtw_batch`).
+shortlist (`index`); the shortlist's templates are scored by the
+package's one banded-DTW kernel, `repro.handwriting.dtw.dtw_distance_many`
+(re-exported here), in one vectorised recurrence.
 `recognizer` ties them together in :class:`LexiconRecognizer`, which
 answers the same ``recognize``/``classify`` calls as the
 rendered-dictionary ``WordRecognizer`` in `repro.handwriting.recognizer`.
 """
 
-from repro.lexicon.dtw_batch import dtw_distance_many
+from repro.handwriting.dtw import dtw_distance_many
 from repro.lexicon.index import DEFAULT_SHORTLIST, LexiconIndex, Trie
 from repro.lexicon.recognizer import (
     LexiconRecognizer,

@@ -4,7 +4,7 @@ The pipeline per query: the trajectory's shape features prune the
 lexicon to a shortlist (`repro.lexicon.index`), the shortlist's
 templates come from a bounded LRU cache — every miss synthesised in one
 vectorised pass (`repro.lexicon.store.neutral_templates`) — and batched
-DTW (`repro.lexicon.dtw_batch`) scores them in feature-rank chunks with
+DTW (`repro.handwriting.dtw`) scores them in feature-rank chunks with
 an adaptive early-abandon bound, so the likely winner (median feature
 rank 0) sets a tight bound for the rest of the shortlist.
 
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.handwriting.dtw import dtw_distance_many
 from repro.handwriting.font import StrokeFont, default_font
 from repro.handwriting.recognizer import normalize_trajectory
-from repro.lexicon.dtw_batch import dtw_distance_many
 from repro.lexicon.index import DEFAULT_SHORTLIST, LexiconIndex
 from repro.lexicon.store import Lexicon, default_lexicon, neutral_templates
 
@@ -33,8 +33,9 @@ __all__ = ["RecognitionResult", "LexiconRecognizer", "RecognizerFactory"]
 #: whose distance then early-abandons most of the remaining chunks.
 _SCORE_CHUNK = 64
 
-#: Early-abandon slack over the best distance so far — matches the
-#: scalar recogniser's ``early_abandon=bound * 3``.
+#: Early-abandon slack over the best distance so far: a later chunk's
+#: template reports ``inf`` once every cell of one of its band rows
+#: passes this multiple of the best distance.
 _ABANDON_SLACK = 3.0
 
 

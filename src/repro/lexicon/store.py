@@ -42,8 +42,16 @@ import numpy as np
 
 from repro.handwriting.corpus import CORPUS
 from repro.handwriting.font import StrokeFont, default_font
-from repro.handwriting.generator import HandwritingGenerator, UserStyle
-from repro.handwriting.recognizer import DESLANT_CLIP, normalize_resampled
+from repro.handwriting.generator import (
+    HandwritingGenerator,
+    UserStyle,
+    resample_polylines,
+)
+from repro.handwriting.recognizer import (
+    DESLANT_CLIP,
+    normalize_resampled,
+    normalize_trajectory,
+)
 
 __all__ = [
     "Lexicon",
@@ -218,15 +226,15 @@ def _glyph_tables(font: StrokeFont | None):
 
 
 def _assemble_paths(
-    words, font: StrokeFont | None = None
+    words, font: StrokeFont | None = None, scale: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw neutral-style pen paths for every word, as one flat array.
 
-    Reproduces the generator's layout exactly (glyph polylines shifted
-    to the letter cursor; each non-first letter's entry point appears
-    twice, because the generator appends the connector's endpoint and
-    then the glyph), fully vectorised: one gather from the flat glyph
-    table per point.
+    Reproduces the generator's layout bit for bit at letter height
+    ``scale`` (glyph polylines scaled, then shifted to the letter
+    cursor; each non-first letter's entry point appears twice, because
+    the generator appends the connector's endpoint and then the glyph),
+    fully vectorised: one gather from the flat glyph table per point.
 
     Returns:
         ``(flat, starts)`` — ``(P, 2)`` points and ``(W + 1,)`` word
@@ -238,11 +246,16 @@ def _assemble_paths(
         return np.empty((0, 2)), np.zeros(len(words) + 1, dtype=np.int64)
     wends = np.concatenate([wstarts[1:], [len(codes)]])
 
-    # Layout cursor of each letter inside its word (exclusive prefix
-    # sum of advances, reset at word starts).
-    adv = advance[codes]
-    cursor = np.cumsum(adv) - adv
-    cursor = cursor - cursor[wstarts].repeat(wends - wstarts)
+    # Layout cursor of each letter inside its word: the generator's
+    # running sum of scaled advances from 0. The sums run along the rows
+    # of a (words, letters + 1) table, so each word's sum restarts at 0
+    # and adds its letters in the generator's order.
+    letters = wends - wstarts
+    row = np.arange(len(words)).repeat(letters)
+    col = np.arange(len(codes)) - wstarts.repeat(letters)
+    table = np.zeros((len(words), int(letters.max()) + 1))
+    table[row, col + 1] = advance[codes] * scale
+    cursor = np.cumsum(table, axis=1)[row, col]
 
     # Points contributed per letter occurrence: the glyph polyline,
     # plus one duplicated entry point for non-first letters.
@@ -262,7 +275,8 @@ def _assemble_paths(
     src_local = np.maximum(within - dup.repeat(npts), 0)
     src = goffsets[codes].repeat(npts) + src_local
 
-    flat = gflat[src].copy()
+    flat = gflat[src]
+    flat *= scale
     flat[:, 0] += cursor.repeat(npts)
     starts = np.concatenate([[0], occ_end[wends - 1]])
     return flat, starts
@@ -412,8 +426,6 @@ def query_features(
     frame the centroid sits at the origin, so the centring terms
     vanish.
     """
-    from repro.handwriting.recognizer import normalize_trajectory
-
     normalized = normalize_trajectory(
         np.asarray(points, dtype=float), resample, deslant=True
     )
@@ -524,49 +536,27 @@ def style_tolerance(font: StrokeFont | None = None) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Batched neutral templates
 # ----------------------------------------------------------------------
-#: Words per vectorised template-synthesis chunk — bounds the footprint
-#: of the constant-speed resample (~1.5k points per word).
-_TEMPLATE_CHUNK = 512
+def _path_lengths(flat: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``(W,)`` ink length of every path, summed as the generator does.
 
-
-def _resample_flat(
-    flat: np.ndarray, starts: np.ndarray, counts
-) -> tuple[np.ndarray, np.ndarray]:
-    """``resample_polyline`` applied to every word path at once.
-
-    ``counts`` maps the ``(W,)`` word path lengths to ``(W,)`` point
-    counts; word ``w`` becomes ``counts[w]`` points equally spaced by arc
-    length, interpolated with ``np.interp``'s formula (the segment's
-    slope times the offset into it, plus its start). One cumulative arc
-    length over the whole flat array is monotone, so a single
-    ``searchsorted`` places every word's targets (offset by the arc
-    length at the word's start); a target at a word's very end is
-    clipped back onto the word's last segment, so none reads the
-    segment joining two words.
-
-    Returns:
-        ``(points, starts)`` of the resampled flat array.
+    The generator times a word by ``norm(diff(path)).sum()``; a
+    per-path ``sum`` repeats that pairwise summation exactly, where a
+    cumulative or ``reduceat`` sum could differ in the last bit and
+    round the sample count the other way.
     """
     seg = np.diff(flat, axis=0)
     lengths = np.sqrt(seg[:, 0] * seg[:, 0] + seg[:, 1] * seg[:, 1])
-    cum = np.concatenate([[0.0], np.cumsum(lengths)])
-    origin = cum[starts[:-1]]
-    total = cum[starts[1:] - 1] - origin
-    counts = counts(total)
-    slope = seg / np.where(lengths > 0.0, lengths, 1.0)[:, None]
-
-    out_starts = np.concatenate([[0], np.cumsum(counts)])
-    local = np.arange(out_starts[-1]) - out_starts[:-1].repeat(counts)
-    targets = local * (total / (counts - 1)).repeat(counts)
-    targets += origin.repeat(counts)
-    idx = np.minimum(
-        np.searchsorted(cum, targets, side="right") - 1,
-        (starts[1:] - 2).repeat(counts),
+    return np.array(
+        [
+            lengths[s : e - 1].sum()
+            for s, e in zip(starts[:-1].tolist(), starts[1:].tolist())
+        ]
     )
-    out = slope[idx]
-    out *= (targets - cum[idx])[:, None]
-    out += flat[idx]
-    return out, out_starts
+
+
+#: Words per vectorised template-synthesis chunk — bounds the footprint
+#: of the constant-speed resample (~1.5k points per word).
+_TEMPLATE_CHUNK = 512
 
 
 def neutral_templates(
@@ -575,14 +565,14 @@ def neutral_templates(
     """Normalised neutral-style templates for many words, in one pass.
 
     Row ``w`` is ``normalize_trajectory(generator.word_trace(word).points,
-    resample, deslant=True)`` for a neutral-style ``HandwritingGenerator``
-    — equal to float rounding (the tests hold it to 1e-9) — without the
-    per-word generator loop: the paths are assembled from glyph
-    polylines (the neutral style has no jitter, wobble or tremor),
-    scaled by the generator's letter height, Chaikin-smoothed, resampled
-    at the generator's constant writing speed and sample rate, then
-    arc-length resampled to ``resample`` points and normalised — each
-    step one vectorised pass over the whole batch.
+    resample, deslant=True)`` for a neutral-style ``HandwritingGenerator``,
+    bit for bit, without the per-word generator loop: the paths are
+    assembled from glyph polylines at the generator's letter height (the
+    neutral style has no jitter, wobble or tremor), Chaikin-smoothed,
+    resampled at the generator's constant writing speed and sample rate,
+    then arc-length resampled to ``resample`` points and normalised —
+    each step one pass over the whole batch, with the generator's own
+    arithmetic (the resamples are :func:`resample_polylines`).
 
     Returns:
         ``(W, resample, 2)`` float array.
@@ -592,21 +582,18 @@ def neutral_templates(
         raise ValueError("resample must be at least 2")
     generator = HandwritingGenerator(style=UserStyle.neutral(), font=font)
 
-    def timed_counts(lengths: np.ndarray) -> np.ndarray:
-        return generator.timing(lengths)[1]
-
-    def fixed_counts(lengths: np.ndarray) -> np.ndarray:
-        return np.full(len(lengths), resample, dtype=np.int64)
-
     out = np.empty((len(words), resample, 2))
     for lo in range(0, len(words), _TEMPLATE_CHUNK):
         chunk = words[lo : lo + _TEMPLATE_CHUNK]
-        flat, starts = _assemble_paths(chunk, font=font)
-        flat, starts = _chaikin_flat(
-            flat * generator.letter_height, starts, generator.style.smoothing
+        flat, starts = _assemble_paths(
+            chunk, font=font, scale=generator.letter_height
         )
-        flat, starts = _resample_flat(flat, starts, timed_counts)
-        flat, _ = _resample_flat(flat, starts, fixed_counts)
+        flat, starts = _chaikin_flat(flat, starts, generator.style.smoothing)
+        _, timed = generator.timing(_path_lengths(flat, starts))
+        flat, starts = resample_polylines(flat, starts, timed)
+        flat, _ = resample_polylines(
+            flat, starts, np.full(len(chunk), resample)
+        )
         out[lo : lo + len(chunk)] = normalize_resampled(
             flat.reshape(len(chunk), resample, 2), deslant=True
         )

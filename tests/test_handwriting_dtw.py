@@ -1,4 +1,8 @@
-"""Unit and property tests for DTW."""
+"""Unit and property tests for the scalar DTW loop in ``tests/oracles``.
+
+It is the specification the package's one DTW kernel,
+``repro.handwriting.dtw.dtw_distance_many``, is checked against.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.handwriting.dtw import dtw_distance
+from tests.oracles.dtw import dtw_distance
 
 sequences = arrays(
     dtype=float,

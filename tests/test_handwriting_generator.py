@@ -2,13 +2,49 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.handwriting.generator import (
     HandwritingGenerator,
     UserStyle,
     WritingTrace,
     resample_polyline,
+    resample_polylines,
 )
+
+
+def _interp_reference(points: np.ndarray, count: int) -> np.ndarray:
+    """Arc-length resampling spelled out with ``np.linspace``/``np.interp``."""
+    deltas = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    cumulative = np.concatenate([[0.0], np.cumsum(deltas)])
+    total = cumulative[-1]
+    if total == 0.0:
+        return np.repeat(points[:1], count, axis=0)
+    targets = np.linspace(0.0, total, count)
+    return np.stack(
+        [np.interp(targets, cumulative, points[:, axis]) for axis in range(2)],
+        axis=1,
+    )
+
+
+@st.composite
+def polyline_batches(draw):
+    """Back-to-back polylines: random, zero-length, and with repeated points."""
+    polylines, counts = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        size = draw(st.integers(2, 40))
+        scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        points = rng.normal(scale=scale, size=(size, 2))
+        kind = draw(st.sampled_from(["random", "still", "repeats"]))
+        if kind == "still":
+            points[:] = points[0]
+        elif kind == "repeats":
+            points = np.repeat(points, rng.integers(1, 4, size=size), axis=0)
+        polylines.append(points)
+        counts.append(draw(st.integers(2, 200)))
+    return polylines, counts
 
 
 class TestResample:
@@ -29,6 +65,33 @@ class TestResample:
             resample_polyline(np.zeros((1, 2)), 5)
         with pytest.raises(ValueError):
             resample_polyline(np.zeros((3, 2)), 1)
+        with pytest.raises(ValueError):
+            resample_polylines(np.zeros((5, 2)), [0, 1, 5], [4, 4])
+
+    @given(polyline_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_each_polyline(self, batch):
+        # Each polyline of a batch comes out exactly as it does alone
+        # and as the np.interp formulation gives it: the batch must not
+        # leak arc length or targets across polyline boundaries.
+        polylines, counts = batch
+        flat = np.concatenate(polylines)
+        starts = np.cumsum([0] + [len(p) for p in polylines])
+        out, out_starts = resample_polylines(flat, starts, counts)
+        assert out.shape == (sum(counts), 2)
+        assert np.array_equal(out_starts, np.cumsum([0] + counts))
+        for index, (points, count) in enumerate(zip(polylines, counts)):
+            piece = out[out_starts[index] : out_starts[index + 1]]
+            assert np.array_equal(piece, resample_polyline(points, count))
+            assert np.array_equal(piece, _interp_reference(points, count))
+
+    def test_underflowing_step_follows_linspace(self):
+        # A total arc length so small that total / (count - 1) rounds to
+        # zero: linspace switches to (i / (count - 1)) * total.
+        points = np.array([[0.0, 0.0], [5e-324, 0.0], [1e-323, 0.0]])
+        assert np.array_equal(
+            resample_polyline(points, 9), _interp_reference(points, 9)
+        )
 
 
 class TestUserStyle:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.handwriting.generator import HandwritingGenerator, UserStyle
 from repro.handwriting.recognizer import (
@@ -10,6 +12,19 @@ from repro.handwriting.recognizer import (
     normalize_resampled,
     normalize_trajectory,
 )
+from tests.oracles.dtw import character_scores_reference, dtw_distance
+
+
+@st.composite
+def letter_traces(draw):
+    """A drawn letter in a sampled user style, with optional pen noise."""
+    char = draw(st.sampled_from("abcdefghijklmnopqrstuvwxyz"))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = HandwritingGenerator(style=UserStyle.sample(rng)).letter_trace(
+        char
+    ).points
+    noise = draw(st.sampled_from([0.0, 0.002, 0.004, 0.01]))  # metres
+    return points + rng.normal(scale=noise, size=points.shape)
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +120,34 @@ class TestCharacterRecognizer:
         trace = HandwritingGenerator().letter_trace("e")
         scores = char_recognizer.scores(trace.points)
         assert set(scores) == set(char_recognizer.labels)
+
+    def test_templates_read_only(self, char_recognizer):
+        assert char_recognizer.templates.shape == (104, 64, 2)
+        assert len(char_recognizer.template_labels) == 104
+        with pytest.raises(ValueError):
+            char_recognizer.templates[0, 0, 0] = 1.0
+
+    @given(letter_traces())
+    @settings(max_examples=20, deadline=None)
+    def test_scores_match_scalar_oracle(self, char_recognizer, points):
+        # One kernel call scores every template in full: each label's
+        # score is its templates' minimum scalar DTW distance, and the
+        # winner is the one the earlier adaptive-abandon loop picked.
+        scores = char_recognizer.scores(points)
+        query = normalize_trajectory(points, char_recognizer.resample)
+        expected = {}
+        for label, template in zip(
+            char_recognizer.template_labels, char_recognizer.templates
+        ):
+            distance = dtw_distance(query, template, band=char_recognizer.band)
+            expected[label] = min(expected.get(label, np.inf), distance)
+        assert list(scores) == list(expected)
+        for label, distance in expected.items():
+            assert abs(scores[label] - distance) <= 1e-9
+        reference = character_scores_reference(char_recognizer, points)
+        assert char_recognizer.classify(points) == min(
+            reference, key=reference.get
+        )
 
     def test_random_scribble_is_a_guess(self, char_recognizer, rng):
         # Random-walk garbage: decision carries no information, like the

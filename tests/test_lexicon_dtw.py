@@ -1,6 +1,7 @@
 """Property tests: the batched DTW kernel against its scalar spec.
 
-``repro.handwriting.dtw.dtw_distance`` is the executable specification;
+The scalar ``dtw_distance`` in ``tests/oracles/dtw.py`` is the
+executable specification;
 ``dtw_distance_many`` must reproduce it to ≤1e-9 across random shapes,
 bands and early-abandon bounds — the contract the whole lexicon tier
 (and the fig15 answers riding on it) rests on.
@@ -9,8 +10,8 @@ bands and early-abandon bounds — the contract the whole lexicon tier
 import numpy as np
 import pytest
 
-from repro.handwriting.dtw import dtw_distance
-from repro.lexicon import dtw_distance_many
+from repro.handwriting.dtw import dtw_distance_many
+from tests.oracles.dtw import dtw_distance
 
 
 def _random_batch(rng, count, n_points, m_points):

@@ -1,7 +1,7 @@
 """Property test: the wavefront DTW kernel against the row-sweep oracle.
 
 ``dtw_distance_many`` sweeps anti-diagonals; the row-by-row sweep in
-``tests/oracles/dtw_batch.py`` is its executable specification. The
+``tests/oracles/dtw.py`` is its executable specification. The
 per-cell arithmetic is the same, so the two must agree bit for bit —
 ``inf`` pattern included — over random lengths, bands (narrower than
 the length difference too), batch sizes and abandon bounds. The scalar
@@ -13,9 +13,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.handwriting.dtw import dtw_distance
-from repro.lexicon import dtw_distance_many
-from tests.oracles.dtw_batch import dtw_distance_many_reference
+from repro.handwriting.dtw import dtw_distance_many
+from tests.oracles.dtw import dtw_distance, dtw_distance_many_reference
 
 
 @st.composite

@@ -12,10 +12,10 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.handwriting.dtw import dtw_distance
 from repro.handwriting.generator import HandwritingGenerator, UserStyle
 from repro.handwriting.recognizer import WordRecognizer, normalize_trajectory
 from repro.lexicon import LexiconRecognizer, RecognizerFactory, build_lexicon
+from tests.oracles.dtw import dtw_distance
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +39,7 @@ class TestFacadeEquivalence:
         return {
             word: dtw_distance(
                 query,
-                recognizer._template(word).points,
+                recognizer._templates[word],
                 band=recognizer.band,
             )
             for word in words
@@ -78,9 +78,9 @@ class TestFacadeEquivalence:
 
 class TestImmutability:
     def test_templates_and_matrix_write_protected(self, corpus_recognizer):
-        template = corpus_recognizer._template("water")
+        template = corpus_recognizer._templates["water"]
         with pytest.raises(ValueError):
-            template.points[0, 0] = 1.0
+            template[0, 0] = 1.0
         with pytest.raises(ValueError):
             corpus_recognizer._matrix[0, 0, 0] = 1.0
 

@@ -2,7 +2,7 @@
 
 ``neutral_templates`` synthesises many words in one vectorised pass; the
 per-word generator path (``word_trace`` then ``normalize_trajectory``)
-is its specification, held to 1e-9 here. The cache tests pin the LRU
+is its specification, matched bit for bit here. The cache tests pin the LRU
 contract of ``LexiconRecognizer.templates``: each miss synthesised
 once, hits reused, the size bound kept, arrays read-only.
 """
@@ -39,15 +39,15 @@ def test_batched_templates_match_generator_path(words, resample):
     batch = neutral_templates(words, resample)
     assert batch.shape == (len(words), resample, 2)
     for word, template in zip(words, batch):
-        assert np.abs(template - _scalar_template(word, resample)).max() <= 1e-9
+        assert np.array_equal(template, _scalar_template(word, resample))
 
 
 def test_batch_rows_independent_of_neighbours():
     # A word's template must not depend on what else is in its batch.
     alone = neutral_templates(["water"])[0]
     mixed = neutral_templates(["i", "water", "mmmmmmmmmmmmmm", "water"])
-    assert np.abs(mixed[1] - alone).max() <= 1e-9
-    assert np.abs(mixed[3] - alone).max() <= 1e-9
+    assert np.array_equal(mixed[1], alone)
+    assert np.array_equal(mixed[3], alone)
 
 
 def test_rejects_unsupported_words():
@@ -130,6 +130,6 @@ class TestTemplateCache:
         assert np.array_equal(
             recognizer.template("water"), neutral_templates(["water"])[0]
         )
-        assert np.abs(
-            recognizer.template("water") - _scalar_template("water", 128)
-        ).max() <= 1e-9
+        assert np.array_equal(
+            recognizer.template("water"), _scalar_template("water", 128)
+        )
